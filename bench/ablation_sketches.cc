@@ -132,10 +132,7 @@ int main(int argc, char** argv) {
           std::vector<outlier::Outlier> entries;
           for (const auto& e : cs_run.Value().outliers) entries.push_back(e);
           // Recovered "outliers" on zero-mode data are the big values.
-          std::sort(entries.begin(), entries.end(),
-                    [](const outlier::Outlier& a, const outlier::Outlier& b) {
-                      return a.value > b.value;
-                    });
+          outlier::RankTopK(&entries, entries.size());
           cs_top.outliers = std::move(entries);
         }
         cs_ek += outlier::ErrorOnKey(truth, cs_top);

@@ -40,12 +40,12 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
+#include "common/digest.h"
 #include "common/flags.h"
 #include "common/parallel.h"
 #include "common/simd.h"
@@ -66,30 +66,8 @@ namespace {
 
 using namespace csod;
 
-// FNV-1a over raw bytes — the deterministic output digest.
-class Fnv1a {
- public:
-  void Add(const void* data, size_t bytes) {
-    const unsigned char* p = static_cast<const unsigned char*>(data);
-    for (size_t i = 0; i < bytes; ++i) {
-      hash_ ^= p[i];
-      hash_ *= 1099511628211ull;
-    }
-  }
-  void AddU64(uint64_t v) { Add(&v, sizeof(v)); }
-  void AddDouble(double v) {
-    uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    AddU64(bits);
-  }
-  uint64_t hash() const { return hash_; }
-
- private:
-  uint64_t hash_ = 1469598103934665603ull;
-};
-
 uint64_t DigestRecovery(const cs::BompResult& result) {
-  Fnv1a digest;
+  Fnv1a digest(bench::kDigestBasis);
   digest.AddDouble(result.mode);
   digest.AddDouble(result.final_residual_norm);
   digest.AddU64(result.iterations);

@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/digest.h"
 #include "common/flags.h"
 #include "common/stopwatch.h"
 #include "serve/checkpoint.h"
@@ -47,29 +48,6 @@
 namespace {
 
 using namespace csod;
-
-// FNV-1a over raw bytes — the deterministic output digest.
-class Fnv1a {
- public:
-  void Add(const void* data, size_t bytes) {
-    const unsigned char* p = static_cast<const unsigned char*>(data);
-    for (size_t i = 0; i < bytes; ++i) {
-      hash_ ^= p[i];
-      hash_ *= 1099511628211ull;
-    }
-  }
-  void AddU64(uint64_t v) { Add(&v, sizeof(v)); }
-  void AddDouble(double v) {
-    uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    AddU64(bits);
-  }
-  void AddString(const std::string& s) { Add(s.data(), s.size()); }
-  uint64_t hash() const { return hash_; }
-
- private:
-  uint64_t hash_ = 1469598103934665603ull;
-};
 
 struct StreamConfig {
   size_t n = 0;
@@ -171,7 +149,7 @@ Result<double> ReplayDirect(const StreamConfig& config,
 Result<uint64_t> DigestFramedOutputs(const StreamConfig& config,
                                      serve::NetClient* client,
                                      const std::string& tenant) {
-  Fnv1a digest;
+  Fnv1a digest(bench::kDigestBasis);
   CSOD_ASSIGN_OR_RETURN(auto snapshot, client->FetchSnapshot(tenant));
   for (double v : snapshot.y) digest.AddDouble(v);
   digest.AddU64(snapshot.version);
@@ -199,7 +177,7 @@ Result<uint64_t> DigestFramedOutputs(const StreamConfig& config,
 Result<uint64_t> DigestDirectOutputs(const StreamConfig& config,
                                      const serve::StreamingService& service,
                                      const std::string& tenant) {
-  Fnv1a digest;
+  Fnv1a digest(bench::kDigestBasis);
   CSOD_ASSIGN_OR_RETURN(auto detector, service.Tenant(tenant));
   auto snapshot = detector->Snapshot();
   if (!snapshot) return Status::Internal("no snapshot published");
@@ -225,7 +203,7 @@ Result<uint64_t> DigestDirectOutputs(const StreamConfig& config,
 }
 
 uint64_t SnapshotDigest(const serve::SketchSnapshot& snapshot) {
-  Fnv1a digest;
+  Fnv1a digest(bench::kDigestBasis);
   for (double v : snapshot.y) digest.AddDouble(v);
   digest.AddU64(snapshot.version);
   return digest.hash();

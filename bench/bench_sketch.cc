@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/digest.h"
 #include "common/flags.h"
 #include "common/random.h"
 #include "common/simd.h"
@@ -100,17 +101,9 @@ std::vector<double> SeedAggregate(
 
 // FNV-1a over the raw bits of y — the deterministic output digest.
 uint64_t DigestBits(const std::vector<double>& y) {
-  uint64_t h = 1469598103934665603ull;
-  for (double v : y) {
-    uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(v));
-    __builtin_memcpy(&bits, &v, sizeof(bits));
-    for (size_t byte = 0; byte < 8; ++byte) {
-      h ^= (bits >> (8 * byte)) & 0xffu;
-      h *= 1099511628211ull;
-    }
-  }
-  return h;
+  Fnv1a digest(bench::kDigestBasis);
+  for (double v : y) digest.AddDouble(v);
+  return digest.hash();
 }
 
 // Hot-key-overlap cluster: every node holds all `hot` hot keys (ids

@@ -40,6 +40,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/digest.h"
 #include "common/flags.h"
 #include "common/parallel.h"
 #include "common/stopwatch.h"
@@ -51,28 +52,6 @@
 namespace {
 
 using namespace csod;
-
-// FNV-1a over raw bytes — the deterministic output digest.
-class Fnv1a {
- public:
-  void Add(const void* data, size_t bytes) {
-    const unsigned char* p = static_cast<const unsigned char*>(data);
-    for (size_t i = 0; i < bytes; ++i) {
-      hash_ ^= p[i];
-      hash_ *= 1099511628211ull;
-    }
-  }
-  void AddU64(uint64_t v) { Add(&v, sizeof(v)); }
-  void AddDouble(double v) {
-    uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    AddU64(bits);
-  }
-  uint64_t hash() const { return hash_; }
-
- private:
-  uint64_t hash_ = 1469598103934665603ull;
-};
 
 struct StreamConfig {
   size_t n = 0;
@@ -155,7 +134,7 @@ Result<double> Replay(const StreamConfig& config,
 // plus both query answers.
 Result<uint64_t> DigestOutputs(const StreamConfig& config,
                                const serve::StreamingDetector& detector) {
-  Fnv1a digest;
+  Fnv1a digest(bench::kDigestBasis);
   auto snapshot = detector.Snapshot();
   if (!snapshot) return Status::Internal("no snapshot published");
   for (double v : snapshot->y) digest.AddDouble(v);
@@ -215,7 +194,7 @@ Result<uint64_t> ReferenceDigest(const StreamConfig& config) {
     window->AdvanceEpoch();
   }
   CSOD_ASSIGN_OR_RETURN(auto y, window->ClosedWindowMeasurement());
-  Fnv1a digest;
+  Fnv1a digest(bench::kDigestBasis);
   for (double v : y) digest.AddDouble(v);
   return digest.hash();
 }
@@ -223,7 +202,7 @@ Result<uint64_t> ReferenceDigest(const StreamConfig& config) {
 // Digest of just the snapshot measurement bits (comparable to the
 // reference digest above).
 uint64_t SnapshotDigest(const serve::SketchSnapshot& snapshot) {
-  Fnv1a digest;
+  Fnv1a digest(bench::kDigestBasis);
   for (double v : snapshot.y) digest.AddDouble(v);
   return digest.hash();
 }

@@ -1,14 +1,22 @@
 #!/usr/bin/env bash
 # Builds the tree under a sanitizer and runs the tier-1 test suite.
 # ThreadSanitizer is the default: it is the one that exercises the
-# persistent thread pool's dispatch/park/steal protocol.
+# persistent thread pool's dispatch/park/steal protocol. `undefined` is
+# UBSan with -fno-sanitize-recover=all: any report fails the test that hit it.
 #
-# Usage: scripts/run_sanitizers.sh [thread|address] [ctest_filter_regex]
+# Usage: scripts/run_sanitizers.sh [thread|address|undefined] [ctest_filter_regex]
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 SAN="${1:-thread}"
 FILTER="${2:-}"
+# thread and address each also cover the serve and engine suites under the
+# other one (see below); undefined has no partner.
+case "$SAN" in
+  thread) OTHER_SAN=address ;;
+  address) OTHER_SAN=thread ;;
+  *) OTHER_SAN="" ;;
+esac
 BUILD_DIR="${BUILD_DIR:-$ROOT/build-${SAN}san}"
 
 cmake -B "$BUILD_DIR" -S "$ROOT" \
@@ -51,37 +59,39 @@ ctest --output-on-failure -j "$(nproc)" -R "$ENGINE_FILTER"
 SERVE_FILTER='StreamingDetector|StreamingService|WindowedDetector'
 SERVE_FILTER+='|CliServe|CliStreamDemo'
 SERVE_FILTER+='|NetCodec|NetServer|NetEndToEnd|NetBackpressure|NetTornFrame'
-SERVE_FILTER+='|SnapshotFollower|Checkpoint'
+SERVE_FILTER+='|SnapshotFollower|Checkpoint|AnswerPath|StalenessStress'
 ctest --output-on-failure -j "$(nproc)" -R "$SERVE_FILTER"
 
 # The same serve surface under the *other* sanitizer: the wire codecs do
 # manual byte-level encode/decode (memcpy in and out of frames) and the
 # checkpoint path deep-copies epoch rings, so an address-safety pass is
 # required even when this invocation asked for TSan (and vice versa).
-SERVE_OTHER_SAN=$([[ "${1:-thread}" == thread ]] && echo address || echo thread)
-SERVE_OTHER_BUILD_DIR="${SERVE_OTHER_BUILD_DIR:-$ROOT/build-${SERVE_OTHER_SAN}san-serve}"
-cmake -B "$SERVE_OTHER_BUILD_DIR" -S "$ROOT" \
-  -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-  -DCSOD_SANITIZE="$SERVE_OTHER_SAN"
-cmake --build "$SERVE_OTHER_BUILD_DIR" -j "$(nproc)" --target \
-  serve_test serve_net_test serve_checkpoint_test
-(cd "$SERVE_OTHER_BUILD_DIR" &&
- ctest --output-on-failure -j "$(nproc)" -R "$SERVE_FILTER")
+if [[ -n "$OTHER_SAN" ]]; then
+  SERVE_OTHER_BUILD_DIR="${SERVE_OTHER_BUILD_DIR:-$ROOT/build-${OTHER_SAN}san-serve}"
+  cmake -B "$SERVE_OTHER_BUILD_DIR" -S "$ROOT" \
+    -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DCSOD_SANITIZE="$OTHER_SAN"
+  cmake --build "$SERVE_OTHER_BUILD_DIR" -j "$(nproc)" --target \
+    serve_test serve_net_test serve_checkpoint_test answer_path_test
+  (cd "$SERVE_OTHER_BUILD_DIR" &&
+   ctest --output-on-failure -j "$(nproc)" -R "$SERVE_FILTER")
+fi
 
 # The same engine suite under the *other* sanitizer: the arena hands out
 # raw uninitialized pages and ColumnChunks runs element destructors by
 # hand, so an address-safety pass is required even when this invocation
 # asked for TSan (and vice versa — the engine is the one subsystem that
 # always gets both).
-OTHER_SAN=$([[ "$SAN" == thread ]] && echo address || echo thread)
-OTHER_BUILD_DIR="${OTHER_BUILD_DIR:-$ROOT/build-${OTHER_SAN}san-engine}"
-cmake -B "$OTHER_BUILD_DIR" -S "$ROOT" \
-  -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-  -DCSOD_SANITIZE="$OTHER_SAN"
-cmake --build "$OTHER_BUILD_DIR" -j "$(nproc)" --target \
-  engine_test shuffle_test jobs_test cost_model_test parallel_test
-(cd "$OTHER_BUILD_DIR" &&
- ctest --output-on-failure -j "$(nproc)" -R "$ENGINE_FILTER")
+if [[ -n "$OTHER_SAN" ]]; then
+  OTHER_BUILD_DIR="${OTHER_BUILD_DIR:-$ROOT/build-${OTHER_SAN}san-engine}"
+  cmake -B "$OTHER_BUILD_DIR" -S "$ROOT" \
+    -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DCSOD_SANITIZE="$OTHER_SAN"
+  cmake --build "$OTHER_BUILD_DIR" -j "$(nproc)" --target \
+    engine_test shuffle_test jobs_test cost_model_test parallel_test
+  (cd "$OTHER_BUILD_DIR" &&
+   ctest --output-on-failure -j "$(nproc)" -R "$ENGINE_FILTER")
+fi
 
 # SIMD kernel + batch sketching tests again under the same sanitizer, but
 # with the portable dispatch path forced at compile time, so both sides of

@@ -73,16 +73,20 @@ Status DistributedOutlierDetector::ApplyDelta(SourceId id,
   return Status::OK();
 }
 
+Result<outlier::OutlierSet> DistributedOutlierDetector::Answer(
+    outlier::QueryKind kind, size_t k) const {
+  if (k == 0) {
+    return Status::InvalidArgument("Answer: k must be > 0");
+  }
+  if (sketches_.empty()) {
+    return Status::FailedPrecondition("Answer: no sources registered");
+  }
+  return AnswerFrom(global_y_, kind, k);
+}
+
 Result<outlier::OutlierSet> DistributedOutlierDetector::Detect(
     size_t k) const {
-  if (k == 0) {
-    return Status::InvalidArgument("Detect: k must be > 0");
-  }
-  const size_t iterations = options_.iterations == 0
-                                ? cs::DefaultIterationsForK(k)
-                                : options_.iterations;
-  CSOD_ASSIGN_OR_RETURN(cs::BompResult recovery, Recover(iterations));
-  return outlier::KOutliersFromRecovery(recovery, k);
+  return Answer(outlier::QueryKind::kOutlier, k);
 }
 
 Result<outlier::OutlierSet> DistributedOutlierDetector::DetectExcluding(
@@ -110,40 +114,27 @@ Result<outlier::OutlierSet> DistributedOutlierDetector::DetectExcluding(
     return Status::FailedPrecondition(
         "DetectExcluding: every source excluded — nothing to aggregate");
   }
-  const size_t iterations = options_.iterations == 0
-                                ? cs::DefaultIterationsForK(k)
-                                : options_.iterations;
-  cs::SolverOptions solver_options;
-  solver_options.solver = options_.solver;
-  solver_options.iterations = iterations;
-  solver_options.telemetry = options_.telemetry;
-  CSOD_ASSIGN_OR_RETURN(
-      cs::BompResult recovery,
-      cs::RecoverBiased(*matrix_, partial_y, solver_options));
-  return outlier::KOutliersFromRecovery(recovery, k);
+  return AnswerFrom(partial_y, outlier::QueryKind::kOutlier, k);
 }
 
 Result<std::vector<outlier::Outlier>> DistributedOutlierDetector::DetectTopK(
     size_t k) const {
-  if (k == 0) {
-    return Status::InvalidArgument("DetectTopK: k must be > 0");
-  }
-  const size_t iterations = options_.iterations == 0
-                                ? cs::DefaultIterationsForK(k)
-                                : options_.iterations;
-  CSOD_ASSIGN_OR_RETURN(cs::BompResult recovery, Recover(iterations));
-  std::vector<outlier::Outlier> top;
-  top.reserve(recovery.entries.size());
-  for (const cs::RecoveredEntry& e : recovery.entries) {
-    top.push_back(outlier::Outlier{e.index, e.value, e.value});
-  }
-  std::sort(top.begin(), top.end(),
-            [](const outlier::Outlier& a, const outlier::Outlier& b) {
-              if (a.value != b.value) return a.value > b.value;
-              return a.key_index < b.key_index;
-            });
-  if (top.size() > k) top.resize(k);
-  return top;
+  CSOD_ASSIGN_OR_RETURN(outlier::OutlierSet top,
+                        Answer(outlier::QueryKind::kTop, k));
+  return std::move(top.outliers);
+}
+
+Result<outlier::OutlierSet> DistributedOutlierDetector::AnswerFrom(
+    const std::vector<double>& y, outlier::QueryKind kind, size_t k) const {
+  CSOD_ASSIGN_OR_RETURN(
+      outlier::RecoveredAnswer answer,
+      outlier::Answer(*matrix_, y,
+                      {.kind = kind,
+                       .k = k,
+                       .solver = options_.solver,
+                       .iterations = options_.iterations,
+                       .telemetry = options_.telemetry}));
+  return std::move(answer.ranked);
 }
 
 Status DistributedOutlierDetector::Save(std::ostream& out) const {

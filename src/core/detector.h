@@ -13,6 +13,7 @@
 #include "cs/compressor.h"
 #include "cs/measurement_matrix.h"
 #include "cs/solver.h"
+#include "outlier/answer.h"
 #include "outlier/outlier.h"
 
 namespace csod::core {
@@ -77,7 +78,13 @@ class DistributedOutlierDetector {
   /// Applies new data arriving at a source: `y_l += Φ0 · Δx`.
   Status ApplyDelta(SourceId id, const cs::SparseSlice& delta);
 
-  /// Detects the k-outliers and mode of the current global aggregate.
+  /// Answers a k-outlier (kOutlier) or top-k-by-recovered-value (kTop;
+  /// the Section 6.2 extension, meaningful when the data's mode is 0)
+  /// query on the current global aggregate, through outlier::Answer.
+  Result<outlier::OutlierSet> Answer(outlier::QueryKind kind, size_t k) const;
+
+  /// Detects the k-outliers and mode of the current global aggregate
+  /// (Answer(kOutlier, k)).
   Result<outlier::OutlierSet> Detect(size_t k) const;
 
   /// Degraded-mode detection: answers from the partial sum
@@ -88,8 +95,7 @@ class DistributedOutlierDetector {
   Result<outlier::OutlierSet> DetectExcluding(
       const std::vector<SourceId>& excluded, size_t k) const;
 
-  /// Top-k by recovered value (the Section 6.2 extension; meaningful when
-  /// the data's mode is 0).
+  /// Top-k by recovered value (Answer(kTop, k)'s rows).
   Result<std::vector<outlier::Outlier>> DetectTopK(size_t k) const;
 
   /// Full recovery (mode, all recovered entries, diagnostics).
@@ -113,6 +119,11 @@ class DistributedOutlierDetector {
 
  private:
   explicit DistributedOutlierDetector(const DetectorOptions& options);
+
+  // outlier::Answer on measurement `y` with this detector's engine/budget.
+  Result<outlier::OutlierSet> AnswerFrom(const std::vector<double>& y,
+                                         outlier::QueryKind kind,
+                                         size_t k) const;
 
   DetectorOptions options_;
   std::unique_ptr<cs::MeasurementMatrix> matrix_;

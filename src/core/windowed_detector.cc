@@ -128,11 +128,14 @@ Result<outlier::OutlierSet> WindowedOutlierDetector::Detect(size_t k) const {
   if (k == 0) {
     return Status::InvalidArgument("Detect: k must be > 0");
   }
-  const size_t iterations = options_.iterations == 0
-                                ? cs::DefaultIterationsForK(k)
-                                : options_.iterations;
-  CSOD_ASSIGN_OR_RETURN(cs::BompResult recovery, Recover(iterations));
-  return outlier::KOutliersFromRecovery(recovery, k);
+  CSOD_ASSIGN_OR_RETURN(std::vector<double> y, WindowMeasurement());
+  CSOD_ASSIGN_OR_RETURN(
+      outlier::RecoveredAnswer answer,
+      outlier::Answer(*matrix_, y,
+                      {.k = k,
+                       .solver = options_.solver,
+                       .iterations = options_.iterations}));
+  return std::move(answer.ranked);
 }
 
 Result<cs::BompResult> WindowedOutlierDetector::Recover(

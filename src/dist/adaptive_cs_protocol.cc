@@ -8,6 +8,7 @@
 #include "cs/compressor.h"
 #include "la/incremental_qr.h"
 #include "la/vector_ops.h"
+#include "outlier/answer.h"
 #include "sim/buggify.h"
 
 namespace csod::dist {
@@ -43,9 +44,9 @@ Result<outlier::OutlierSet> AdaptiveCsProtocol::RunGrow(const Cluster& cluster,
   rounds_.clear();
   last_recovery_ = cs::BompResult{};
   const size_t n = cluster.key_space_size();
-  const size_t iterations = options_.iterations == 0
-                                ? cs::DefaultIterationsForK(k)
-                                : options_.iterations;
+  const outlier::AnswerSpec spec{.k = k,
+                                 .iterations = options_.iterations,
+                                 .telemetry = telemetry_};
 
   const FaultInjector injector(options_.faults);
   Channel channel(comm, options_.faults.any() ? &injector : nullptr,
@@ -57,6 +58,7 @@ Result<outlier::OutlierSet> AdaptiveCsProtocol::RunGrow(const Cluster& cluster,
   size_t prev_m = 0;
   size_t m = std::min(options_.initial_m, options_.max_m);
   std::vector<size_t> previous_topk;
+  outlier::OutlierSet detected;
   while (true) {
     channel.BeginRound();
     // Every node transmits only the new measurement rows [prev_m, m); the
@@ -141,13 +143,10 @@ Result<outlier::OutlierSet> AdaptiveCsProtocol::RunGrow(const Cluster& cluster,
           y, cs::Compressor::AggregateMeasurements(measurements));
     }
 
-    cs::BompOptions bomp_options;
-    bomp_options.max_iterations = iterations;
-    bomp_options.telemetry = telemetry_;
-    CSOD_ASSIGN_OR_RETURN(last_recovery_, cs::RunBomp(matrix, y, bomp_options));
-
-    const outlier::OutlierSet detected =
-        outlier::KOutliersFromRecovery(last_recovery_, k);
+    CSOD_ASSIGN_OR_RETURN(outlier::RecoveredAnswer answer,
+                          outlier::Answer(matrix, y, spec));
+    last_recovery_ = std::move(answer.recovery);
+    detected = std::move(answer.ranked);
     std::vector<size_t> topk_keys;
     topk_keys.reserve(detected.outliers.size());
     for (const auto& o : detected.outliers) topk_keys.push_back(o.key_index);
@@ -166,7 +165,7 @@ Result<outlier::OutlierSet> AdaptiveCsProtocol::RunGrow(const Cluster& cluster,
     // the true support. Require at least half the measurement dimensions
     // to be unexplained degrees of freedom — then a near-zero residual
     // is a real certificate.
-    const bool residual_meaningful = m >= 2 * iterations;
+    const bool residual_meaningful = m >= 2 * outlier::IterationBudget(spec);
     round.accepted =
         (residual_meaningful &&
          round.relative_residual <= options_.acceptance_residual) ||
@@ -181,7 +180,7 @@ Result<outlier::OutlierSet> AdaptiveCsProtocol::RunGrow(const Cluster& cluster,
                                      std::ceil(m * options_.growth))));
   }
 
-  return outlier::KOutliersFromRecovery(last_recovery_, k);
+  return detected;
 }
 
 Result<outlier::OutlierSet> AdaptiveCsProtocol::RunTwoPhase(
@@ -198,9 +197,6 @@ Result<outlier::OutlierSet> AdaptiveCsProtocol::RunTwoPhase(
   rounds_.clear();
   last_recovery_ = cs::BompResult{};
   const size_t n = cluster.key_space_size();
-  const size_t iterations = options_.iterations == 0
-                                ? cs::DefaultIterationsForK(k)
-                                : options_.iterations;
 
   const FaultInjector injector(options_.faults);
   Channel channel(comm, options_.faults.any() ? &injector : nullptr,
@@ -255,12 +251,14 @@ Result<outlier::OutlierSet> AdaptiveCsProtocol::RunTwoPhase(
     CSOD_RETURN_NOT_OK(locate_compressor.CompressAccumulate(slices, &y1));
   }
 
-  cs::SolverOptions locate_solve;
-  locate_solve.solver = options_.solver;
-  locate_solve.iterations = iterations;
-  locate_solve.telemetry = telemetry_;
-  CSOD_ASSIGN_OR_RETURN(cs::BompResult located,
-                        cs::RecoverBiased(locate_matrix, y1, locate_solve));
+  CSOD_ASSIGN_OR_RETURN(
+      outlier::RecoveredAnswer coarse,
+      outlier::Answer(locate_matrix, y1,
+                      {.k = k,
+                       .solver = options_.solver,
+                       .iterations = options_.iterations,
+                       .telemetry = telemetry_}));
+  cs::BompResult& located = coarse.recovery;
 
   {
     const double y1_norm = la::Norm2(y1);
@@ -297,7 +295,7 @@ Result<outlier::OutlierSet> AdaptiveCsProtocol::RunTwoPhase(
     // pass is the answer.
     last_recovery_ = std::move(located);
     if (!rounds_.empty()) rounds_.back().accepted = true;
-    return outlier::KOutliersFromRecovery(last_recovery_, k);
+    return std::move(coarse.ranked);
   }
 
   // ---- Pass 2 (refine): sense only the |S| candidate columns with an
@@ -398,12 +396,10 @@ Result<outlier::OutlierSet> AdaptiveCsProtocol::RunTwoPhase(
     round.phase = "refine";
     round.accepted = true;
     // Stability here means the coarse pass already had the final top-k.
-    const outlier::OutlierSet coarse_topk =
-        outlier::KOutliersFromRecovery(located, k);
     const outlier::OutlierSet fine_topk =
         outlier::KOutliersFromRecovery(refined, k);
     std::vector<size_t> a, b;
-    for (const auto& o : coarse_topk.outliers) a.push_back(o.key_index);
+    for (const auto& o : coarse.ranked.outliers) a.push_back(o.key_index);
     for (const auto& o : fine_topk.outliers) b.push_back(o.key_index);
     std::sort(a.begin(), a.end());
     std::sort(b.begin(), b.end());

@@ -1,9 +1,11 @@
 #include "dist/cs_protocol.h"
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cs/compressor.h"
+#include "outlier/answer.h"
 #include "sim/buggify.h"
 
 namespace csod::dist {
@@ -114,13 +116,14 @@ Result<outlier::OutlierSet> CsOutlierProtocol::Run(const Cluster& cluster,
   }
 
   // Phase 4: BOMP recovery (Algorithm 1) and k-outlier extraction.
-  cs::BompOptions bomp_options;
-  bomp_options.max_iterations = options_.iterations == 0
-                                    ? cs::DefaultIterationsForK(k)
-                                    : options_.iterations;
-  bomp_options.telemetry = telemetry_;
-  CSOD_ASSIGN_OR_RETURN(last_recovery_, cs::RunBomp(matrix, y, bomp_options));
-  return outlier::KOutliersFromRecovery(last_recovery_, k);
+  CSOD_ASSIGN_OR_RETURN(
+      outlier::RecoveredAnswer answer,
+      outlier::Answer(matrix, y,
+                      {.k = k,
+                       .iterations = options_.iterations,
+                       .telemetry = telemetry_}));
+  last_recovery_ = std::move(answer.recovery);
+  return std::move(answer.ranked);
 }
 
 }  // namespace csod::dist

@@ -10,9 +10,9 @@ namespace csod::dist {
 
 namespace {
 
-// One node's slice sorted descending by value, as (key, value) pairs.
+// One node's slice ranked by value (outlier::RankTopK order).
 struct SortedSlice {
-  std::vector<std::pair<size_t, double>> entries;
+  std::vector<outlier::Outlier> entries;
   // Fast random access: key -> local value.
   std::unordered_map<size_t, double> lookup;
 };
@@ -29,32 +29,25 @@ Result<std::vector<SortedSlice>> SortSlices(const Cluster& cluster) {
         return Status::FailedPrecondition(
             "top-k protocols require non-negative partial values");
       }
-      s.entries.emplace_back(slice->indices[j], slice->values[j]);
+      s.entries.push_back(outlier::Outlier{slice->indices[j],
+                                          slice->values[j],
+                                          slice->values[j]});
       s.lookup.emplace(slice->indices[j], slice->values[j]);
     }
-    std::sort(s.entries.begin(), s.entries.end(),
-              [](const auto& a, const auto& b) {
-                if (a.second != b.second) return a.second > b.second;
-                return a.first < b.first;
-              });
+    outlier::RankTopK(&s.entries, s.entries.size());
     sorted.push_back(std::move(s));
   }
   return sorted;
 }
 
-std::vector<outlier::Outlier> RankTopK(
+std::vector<outlier::Outlier> RankSums(
     const std::unordered_map<size_t, double>& sums, size_t k) {
   std::vector<outlier::Outlier> out;
   out.reserve(sums.size());
   for (const auto& [key, value] : sums) {
     out.push_back(outlier::Outlier{key, value, value});
   }
-  std::sort(out.begin(), out.end(),
-            [](const outlier::Outlier& a, const outlier::Outlier& b) {
-              if (a.value != b.value) return a.value > b.value;
-              return a.key_index < b.key_index;
-            });
-  if (out.size() > k) out.resize(k);
+  outlier::RankTopK(&out, k);
   return out;
 }
 
@@ -105,7 +98,7 @@ Result<TopKRunResult> RunThresholdAlgorithmTopK(const Cluster& cluster,
       const size_t end = std::min(cursor[l] + batch_size, entries.size());
       for (size_t j = cursor[l]; j < end; ++j) {
         any_released = true;
-        const size_t key = entries[j].first;
+        const size_t key = entries[j].key_index;
         if (exact.find(key) == exact.end()) {
           exact[key] = RandomAccess(slices, key, &channel);
         }
@@ -125,7 +118,7 @@ Result<TopKRunResult> RunThresholdAlgorithmTopK(const Cluster& cluster,
       // Frontier value: the last value this node released (0 when the
       // list is exhausted — a non-negative lower bound on the rest).
       threshold += cursor[l] > 0 && cursor[l] <= entries.size()
-                       ? entries[cursor[l] - 1].second *
+                       ? entries[cursor[l] - 1].value *
                              (cursor[l] == entries.size() ? 0.0 : 1.0)
                        : 0.0;
     }
@@ -143,7 +136,7 @@ Result<TopKRunResult> RunThresholdAlgorithmTopK(const Cluster& cluster,
   }
 
   TopKRunResult result;
-  result.top = RankTopK(exact, k);
+  result.top = RankSums(exact, k);
   return result;
 }
 
@@ -170,7 +163,7 @@ Result<TopKRunResult> RunTputTopK(const Cluster& cluster, size_t k,
     const SortedSlice& s = slices[l];
     const size_t send = std::min(k, s.entries.size());
     for (size_t j = 0; j < send; ++j) {
-      partial_sums[s.entries[j].first] += s.entries[j].second;
+      partial_sums[s.entries[j].key_index] += s.entries[j].value;
     }
     channel.Send(ids[l], "phase1-local-topk", send, kKeyValueBytes);
   }
@@ -198,9 +191,9 @@ Result<TopKRunResult> RunTputTopK(const Cluster& cluster, size_t k,
   for (size_t l = 0; l < slices.size(); ++l) {
     const SortedSlice& s = slices[l];
     size_t sent = 0;
-    for (const auto& [key, value] : s.entries) {
-      if (value < node_threshold) break;  // Sorted descending.
-      candidates.insert(key);
+    for (const outlier::Outlier& e : s.entries) {
+      if (e.value < node_threshold) break;  // Sorted descending.
+      candidates.insert(e.key_index);
       ++sent;
     }
     channel.Send(ids[l], "phase2-prune", sent, kKeyValueBytes);
@@ -221,7 +214,7 @@ Result<TopKRunResult> RunTputTopK(const Cluster& cluster, size_t k,
                   kKeyValueBytes);
 
   TopKRunResult result;
-  result.top = RankTopK(exact, k);
+  result.top = RankSums(exact, k);
   return result;
 }
 

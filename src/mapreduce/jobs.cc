@@ -10,6 +10,7 @@
 #include "common/random.h"
 #include "dist/comm.h"
 #include "mapreduce/engine.h"
+#include "outlier/answer.h"
 
 namespace csod::mr {
 
@@ -95,12 +96,7 @@ Result<TopKJobResult> RunTraditionalTopKJob(
       const size_t key = static_cast<size_t>(groups.key(g));
       all.push_back(outlier::Outlier{key, sum, sum});
     }
-    std::sort(all.begin(), all.end(),
-              [](const outlier::Outlier& a, const outlier::Outlier& b) {
-                if (a.value != b.value) return a.value > b.value;
-                return a.key_index < b.key_index;
-              });
-    if (all.size() > k) all.resize(k);
+    outlier::RankTopK(&all, k);
     for (auto& o : all) out->push_back(o);
   };
 
@@ -230,21 +226,19 @@ Result<CsJobResult> RunCsOutlierJob(
     }
     cs::MeasurementMatrix reducer_matrix(options.m, options.n, options.seed,
                                          options.cache_budget_bytes);
-    cs::BompOptions bomp_options;
-    bomp_options.max_iterations =
-        options.iterations == 0 ? cs::DefaultIterationsForK(options.k)
-                                : options.iterations;
-    bomp_options.telemetry = options.telemetry;
-    auto recovered = cs::RunBomp(reducer_matrix, y, bomp_options);
-    if (!recovered.ok()) {
-      reduce_status = recovered.status();
+    auto answered =
+        outlier::Answer(reducer_matrix, y,
+                        {.k = options.k,
+                         .iterations = options.iterations,
+                         .telemetry = options.telemetry});
+    if (!answered.ok()) {
+      reduce_status = answered.status();
       return;
     }
-    recovery = recovered.MoveValue();
-    outlier::OutlierSet set =
-        outlier::KOutliersFromRecovery(recovery, options.k);
-    recovered_mode = set.mode;
-    for (auto& o : set.outliers) out->push_back(o);
+    outlier::RecoveredAnswer answer = answered.MoveValue();
+    recovery = std::move(answer.recovery);
+    recovered_mode = answer.ranked.mode;
+    for (auto& o : answer.ranked.outliers) out->push_back(o);
   };
 
   CSOD_ASSIGN_OR_RETURN(auto run, RunJob(splits, job));

@@ -78,17 +78,22 @@ OutlierSet KOutliersFromRecovery(const cs::BompResult& recovery, size_t k) {
   return result;
 }
 
+void RankTopK(std::vector<Outlier>* candidates, size_t k) {
+  std::sort(candidates->begin(), candidates->end(),
+            [](const Outlier& a, const Outlier& b) {
+              if (a.value != b.value) return a.value > b.value;
+              return a.key_index < b.key_index;
+            });
+  if (candidates->size() > k) candidates->resize(k);
+}
+
 std::vector<Outlier> TopK(const std::vector<double>& x, size_t k) {
   std::vector<Outlier> all;
   all.reserve(x.size());
   for (size_t i = 0; i < x.size(); ++i) {
     all.push_back(Outlier{i, x[i], x[i]});
   }
-  std::sort(all.begin(), all.end(), [](const Outlier& a, const Outlier& b) {
-    if (a.value != b.value) return a.value > b.value;
-    return a.key_index < b.key_index;
-  });
-  if (all.size() > k) all.resize(k);
+  RankTopK(&all, k);
   return all;
 }
 

@@ -48,8 +48,12 @@ OutlierSet KOutliersGivenMode(const std::vector<double>& x, double mode,
 /// recovered mode.
 OutlierSet KOutliersFromRecovery(const cs::BompResult& recovery, size_t k);
 
+/// The one value ranking: sorts `candidates` by value descending, ties
+/// toward the lower key index, and keeps the first min(k, size).
+void RankTopK(std::vector<Outlier>* candidates, size_t k);
+
 /// Classic top-k by value (largest values) — what Figure 1(b) contrasts
-/// with outlier-k. Sorted descending by value.
+/// with outlier-k. Ranked by RankTopK.
 std::vector<Outlier> TopK(const std::vector<double>& x, size_t k);
 
 /// Top-k by absolute value, the other Figure 1(b) contrast.

@@ -118,6 +118,19 @@ Result<PreparedInput> Prepare(const Query& query,
   return prepared;
 }
 
+// Answer rows in rank order: the key's text, its value, and its rank score
+// (the divergence; == value for Top answers).
+Status FillRows(const outlier::OutlierSet& set,
+                const workload::GlobalKeyDictionary& dictionary,
+                QueryResult* result) {
+  result->mode = set.mode;
+  for (const outlier::Outlier& o : set.outliers) {
+    CSOD_ASSIGN_OR_RETURN(std::string key, dictionary.KeyOf(o.key_index));
+    result->rows.push_back(ResultRow{std::move(key), o.value, o.divergence});
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Result<QueryResult> ExecuteDistributed(
@@ -155,22 +168,9 @@ Result<QueryResult> ExecuteDistributed(
   result.bytes_all = static_cast<uint64_t>(node_tables.size()) * n *
                      dist::kValueBytes;
 
-  if (query.kind == QueryKind::kOutlier) {
-    CSOD_ASSIGN_OR_RETURN(outlier::OutlierSet set, detector->Detect(query.k));
-    result.mode = set.mode;
-    for (const auto& o : set.outliers) {
-      CSOD_ASSIGN_OR_RETURN(std::string key,
-                            prepared.dictionary.KeyOf(o.key_index));
-      result.rows.push_back(ResultRow{std::move(key), o.value, o.divergence});
-    }
-  } else {
-    CSOD_ASSIGN_OR_RETURN(auto top, detector->DetectTopK(query.k));
-    for (const auto& o : top) {
-      CSOD_ASSIGN_OR_RETURN(std::string key,
-                            prepared.dictionary.KeyOf(o.key_index));
-      result.rows.push_back(ResultRow{std::move(key), o.value, o.value});
-    }
-  }
+  CSOD_ASSIGN_OR_RETURN(outlier::OutlierSet set,
+                        detector->Answer(query.kind, query.k));
+  CSOD_RETURN_NOT_OK(FillRows(set, prepared.dictionary, &result));
   return result;
 }
 
@@ -193,21 +193,11 @@ Result<QueryResult> ExecuteExact(const Query& query,
                          dist::kValueBytes;
   result.bytes_all = result.bytes_shipped;
 
-  if (query.kind == QueryKind::kOutlier) {
-    outlier::OutlierSet set = outlier::ExactKOutliers(global, query.k);
-    result.mode = set.mode;
-    for (const auto& o : set.outliers) {
-      CSOD_ASSIGN_OR_RETURN(std::string key,
-                            prepared.dictionary.KeyOf(o.key_index));
-      result.rows.push_back(ResultRow{std::move(key), o.value, o.divergence});
-    }
-  } else {
-    for (const auto& o : outlier::TopK(global, query.k)) {
-      CSOD_ASSIGN_OR_RETURN(std::string key,
-                            prepared.dictionary.KeyOf(o.key_index));
-      result.rows.push_back(ResultRow{std::move(key), o.value, o.value});
-    }
-  }
+  const outlier::OutlierSet set =
+      query.kind == QueryKind::kOutlier
+          ? outlier::ExactKOutliers(global, query.k)
+          : outlier::OutlierSet{outlier::TopK(global, query.k), 0.0};
+  CSOD_RETURN_NOT_OK(FillRows(set, prepared.dictionary, &result));
   return result;
 }
 

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "outlier/answer.h"
 
 namespace csod::query {
 
@@ -20,11 +21,8 @@ namespace csod::query {
 /// CS-based distributed pipeline (see executor.h). `Top K` is accepted in
 /// place of `Outlier K` for the Section 6.2 extension.
 
-/// What the SELECT asks for.
-enum class QueryKind {
-  kOutlier,  ///< k keys furthest from the (unknown) mode.
-  kTop,      ///< k keys with the largest aggregates (zero-mode extension).
-};
+/// What the SELECT asks for (the answer path's kind, outlier/answer.h).
+using QueryKind = outlier::QueryKind;
 
 /// One predicate `column op 'value'`; conjunctions only (AND).
 struct Predicate {

@@ -2,7 +2,6 @@
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstdint>
 #include <cstring>
@@ -273,22 +272,6 @@ Status ReadLengthPrefixed(int fd, size_t max_frame_bytes, std::string* frame,
   }
   frame->resize(length);
   return ReadFull(fd, frame->data(), length, nullptr);
-}
-
-// Shared recovery path of leader and follower queries: same solver, same
-// iteration rule, same y ⇒ bit-identical answers.
-Result<cs::BompResult> RecoverSnapshot(const cs::MeasurementMatrix& matrix,
-                                       const SketchSnapshot& snapshot,
-                                       cs::RecoverySolver solver,
-                                       size_t configured_iterations,
-                                       size_t k) {
-  const size_t iterations = configured_iterations == 0
-                                ? cs::DefaultIterationsForK(k)
-                                : configured_iterations;
-  cs::SolverOptions solve;
-  solve.solver = solver;
-  solve.iterations = iterations;
-  return cs::RecoverBiased(matrix, snapshot.y, solve);
 }
 
 }  // namespace
@@ -695,45 +678,32 @@ std::shared_ptr<const SketchSnapshot> SnapshotFollower::Snapshot() const {
   return snapshot_;
 }
 
-Result<outlier::OutlierSet> SnapshotFollower::QueryOutliers(size_t k) const {
-  if (k == 0) return Status::InvalidArgument("QueryOutliers: k must be > 0");
+Result<outlier::OutlierSet> SnapshotFollower::Answer(outlier::QueryKind kind,
+                                                     size_t k) const {
+  if (k == 0) return Status::InvalidArgument("Answer: k must be > 0");
   const std::shared_ptr<const SketchSnapshot> snapshot = Snapshot();
   if (snapshot == nullptr) {
-    return Status::FailedPrecondition(
-        "QueryOutliers: no snapshot replicated yet");
+    return Status::FailedPrecondition("Answer: no snapshot replicated yet");
   }
   CSOD_ASSIGN_OR_RETURN(
-      cs::BompResult recovery,
-      RecoverSnapshot(*matrix_, *snapshot, options_.solver,
-                      options_.iterations, k));
-  return outlier::KOutliersFromRecovery(recovery, k);
+      outlier::RecoveredAnswer answer,
+      outlier::Answer(*matrix_, snapshot->y,
+                      {.kind = kind,
+                       .k = k,
+                       .solver = options_.solver,
+                       .iterations = options_.iterations}));
+  return std::move(answer.ranked);
+}
+
+Result<outlier::OutlierSet> SnapshotFollower::QueryOutliers(size_t k) const {
+  return Answer(outlier::QueryKind::kOutlier, k);
 }
 
 Result<std::vector<outlier::Outlier>> SnapshotFollower::QueryTopK(
     size_t k) const {
-  if (k == 0) return Status::InvalidArgument("QueryTopK: k must be > 0");
-  const std::shared_ptr<const SketchSnapshot> snapshot = Snapshot();
-  if (snapshot == nullptr) {
-    return Status::FailedPrecondition("QueryTopK: no snapshot replicated yet");
-  }
-  CSOD_ASSIGN_OR_RETURN(
-      cs::BompResult recovery,
-      RecoverSnapshot(*matrix_, *snapshot, options_.solver,
-                      options_.iterations, k));
-  // Same ranking as StreamingDetector::QueryTopK: value descending, ties
-  // toward the lower key.
-  std::vector<outlier::Outlier> top;
-  top.reserve(recovery.entries.size());
-  for (const cs::RecoveredEntry& e : recovery.entries) {
-    top.push_back(outlier::Outlier{e.index, e.value, e.value});
-  }
-  std::sort(top.begin(), top.end(),
-            [](const outlier::Outlier& a, const outlier::Outlier& b) {
-              if (a.value != b.value) return a.value > b.value;
-              return a.key_index < b.key_index;
-            });
-  if (top.size() > k) top.resize(k);
-  return top;
+  CSOD_ASSIGN_OR_RETURN(outlier::OutlierSet top,
+                        Answer(outlier::QueryKind::kTop, k));
+  return std::move(top.outliers);
 }
 
 }  // namespace csod::serve

@@ -11,6 +11,7 @@
 #include "common/status.h"
 #include "cs/compressor.h"
 #include "cs/solver.h"
+#include "outlier/answer.h"
 #include "outlier/outlier.h"
 #include "serve/service.h"
 #include "serve/snapshot.h"
@@ -246,9 +247,11 @@ class SnapshotFollower {
   /// The follower's current snapshot, or null before the first apply.
   std::shared_ptr<const SketchSnapshot> Snapshot() const;
 
-  /// Detection against the follower's snapshot — the same recovery path
-  /// as StreamingDetector::QueryOutliers/QueryTopK, so answers are
+  /// Detection against the follower's snapshot — the same answer path
+  /// (outlier::Answer) as StreamingDetector::Answer, so answers are
   /// bit-identical to the leader's for the same snapshot version.
+  Result<outlier::OutlierSet> Answer(outlier::QueryKind kind, size_t k) const;
+  /// Answer(kOutlier, k) / Answer(kTop, k).outliers.
   Result<outlier::OutlierSet> QueryOutliers(size_t k) const;
   Result<std::vector<outlier::Outlier>> QueryTopK(size_t k) const;
 

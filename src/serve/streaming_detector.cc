@@ -1,6 +1,5 @@
 #include "serve/streaming_detector.h"
 
-#include <algorithm>
 #include <string>
 #include <utility>
 
@@ -101,12 +100,12 @@ Result<std::unique_ptr<StreamingDetector>> StreamingDetector::Restore(
   }
   detector->last_tick_ = checkpoint.last_tick;
   detector->started_.store(checkpoint.started, std::memory_order_relaxed);
-  detector->current_epoch_.store(checkpoint.current_epoch,
-                                 std::memory_order_relaxed);
   detector->version_.store(checkpoint.version, std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> snapshot_lock(detector->snapshot_mu_);
     detector->snapshot_ = checkpoint.snapshot;
+    detector->current_epoch_.store(checkpoint.current_epoch,
+                                   std::memory_order_relaxed);
   }
   return detector;
 }
@@ -296,37 +295,39 @@ uint64_t StreamingDetector::AdvanceEpochLocked() {
   FlushIngestTelemetryLocked();
   const uint64_t epoch = window_->AdvanceEpoch();
   started_.store(true, std::memory_order_relaxed);
-  current_epoch_.store(epoch, std::memory_order_relaxed);
   epoch_events_.push_back(0);
   while (epoch_events_.size() > options_.window_epochs + 1) {
     epoch_events_.pop_front();
   }
   telemetry_->AddCounter("serve.epochs");
 
+  // A publishing close makes the new epoch current together with the
+  // snapshot that closes the previous one (PublishLocked) — never before
+  // it, so (snapshot, current epoch) always read as a consistent pair.
   const size_t closed = epoch_events_.size() - 1;
-  if (closed > 0) {
-    bool publish = true;
-    if (options_.window == WindowKind::kTumbling) {
-      // Publish only when a disjoint window of exactly W closed epochs
-      // completes: at the close of epoch W-1, 2W-1, ... (i.e. when the new
-      // current epoch index is a multiple of W). The W+1-deep ring then
-      // holds precisely that window plus the fresh epoch, so consecutive
-      // publications cover disjoint epoch ranges with no extra state.
-      publish = closed >= options_.window_epochs &&
-                epoch % options_.window_epochs == 0;
-    }
-    if (publish) {
-      PublishLocked();
-      // Buggify: epoch-advance race — a second publisher runs before the
-      // first one's swap is observed. Publication is idempotent up to the
-      // version counter, so the race must only bump version/snapshots.
-      if (CSOD_BUGGIFY_AT("serve.epoch.republish", epoch)) PublishLocked();
-    }
+  bool publish = closed > 0;
+  if (options_.window == WindowKind::kTumbling) {
+    // Publish only when a disjoint window of exactly W closed epochs
+    // completes: at the close of epoch W-1, 2W-1, ... (i.e. when the new
+    // current epoch index is a multiple of W). The W+1-deep ring then
+    // holds precisely that window plus the fresh epoch, so consecutive
+    // publications cover disjoint epoch ranges with no extra state.
+    publish = closed >= options_.window_epochs &&
+              epoch % options_.window_epochs == 0;
+  }
+  if (publish) {
+    PublishLocked(epoch);
+    // Buggify: epoch-advance race — a second publisher runs before the
+    // first one's swap is observed. Publication is idempotent up to the
+    // version counter, so the race must only bump version/snapshots.
+    if (CSOD_BUGGIFY_AT("serve.epoch.republish", epoch)) PublishLocked(epoch);
+  } else {
+    current_epoch_.store(epoch, std::memory_order_relaxed);
   }
   return epoch;
 }
 
-void StreamingDetector::PublishLocked() {
+void StreamingDetector::PublishLocked(uint64_t epoch) {
   obs::TraceSpan span(telemetry_, "serve.snapshot.publish");
   Result<std::vector<double>> y = window_->ClosedWindowMeasurement();
   y.status().Check();  // Callers guarantee a closed epoch is retained.
@@ -334,7 +335,7 @@ void StreamingDetector::PublishLocked() {
   auto snapshot = std::make_shared<SketchSnapshot>();
   const size_t covered = epoch_events_.size() - 1;
   snapshot->version = version_.fetch_add(1, std::memory_order_relaxed) + 1;
-  snapshot->last_epoch = current_epoch_.load(std::memory_order_relaxed) - 1;
+  snapshot->last_epoch = epoch - 1;
   snapshot->first_epoch =
       snapshot->last_epoch - static_cast<uint64_t>(covered - 1);
   snapshot->epochs_covered = covered;
@@ -347,6 +348,7 @@ void StreamingDetector::PublishLocked() {
 
   std::lock_guard<std::mutex> lock(snapshot_mu_);
   snapshot_ = std::move(snapshot);
+  current_epoch_.store(epoch, std::memory_order_relaxed);
 }
 
 std::shared_ptr<const SketchSnapshot> StreamingDetector::Snapshot() const {
@@ -354,87 +356,47 @@ std::shared_ptr<const SketchSnapshot> StreamingDetector::Snapshot() const {
   return snapshot_;
 }
 
-Result<outlier::OutlierSet> StreamingDetector::QueryOutliers(size_t k) const {
-  if (k == 0) return Status::InvalidArgument("QueryOutliers: k must be > 0");
-  std::shared_ptr<const SketchSnapshot> snapshot = Snapshot();
-  if (snapshot == nullptr) {
+Result<SnapshotAnswer> StreamingDetector::Answer(outlier::QueryKind kind,
+                                                 size_t k) const {
+  if (k == 0) return Status::InvalidArgument("Answer: k must be > 0");
+  SnapshotAnswer out;
+  {
+    std::lock_guard<std::mutex> lock(snapshot_mu_);
+    out.snapshot = snapshot_;
+    out.current_epoch = current_epoch_.load(std::memory_order_relaxed);
+  }
+  if (out.snapshot == nullptr) {
     return Status::FailedPrecondition(
-        "QueryOutliers: no snapshot published yet (close an epoch first)");
+        "Answer: no snapshot published yet (close an epoch first)");
   }
   obs::TraceSpan span(telemetry_, "serve.query");
   telemetry_->AddCounter("serve.queries");
   telemetry_->RecordValue(
       "serve.query.age_epochs",
-      static_cast<double>(current_epoch_.load(std::memory_order_relaxed) -
-                          snapshot->last_epoch));
-  const size_t iterations = options_.iterations == 0
-                                ? cs::DefaultIterationsForK(k)
-                                : options_.iterations;
-  cs::SolverOptions solve;
-  solve.solver = options_.solver;
-  solve.iterations = iterations;
-  solve.telemetry = telemetry_;
-  CSOD_ASSIGN_OR_RETURN(cs::BompResult recovery,
-                        cs::RecoverBiased(matrix(), snapshot->y, solve));
-  return outlier::KOutliersFromRecovery(recovery, k);
+      static_cast<double>(out.current_epoch - out.snapshot->last_epoch));
+  CSOD_ASSIGN_OR_RETURN(
+      outlier::RecoveredAnswer answer,
+      outlier::Answer(matrix(), out.snapshot->y,
+                      {.kind = kind,
+                       .k = k,
+                       .solver = options_.solver,
+                       .iterations = options_.iterations,
+                       .telemetry = telemetry_}));
+  out.ranked = std::move(answer.ranked);
+  return out;
+}
+
+Result<outlier::OutlierSet> StreamingDetector::QueryOutliers(size_t k) const {
+  CSOD_ASSIGN_OR_RETURN(SnapshotAnswer out,
+                        Answer(outlier::QueryKind::kOutlier, k));
+  return std::move(out.ranked);
 }
 
 Result<std::vector<outlier::Outlier>> StreamingDetector::QueryTopK(
     size_t k) const {
-  if (k == 0) return Status::InvalidArgument("QueryTopK: k must be > 0");
-  std::shared_ptr<const SketchSnapshot> snapshot = Snapshot();
-  if (snapshot == nullptr) {
-    return Status::FailedPrecondition(
-        "QueryTopK: no snapshot published yet (close an epoch first)");
-  }
-  obs::TraceSpan span(telemetry_, "serve.query");
-  telemetry_->AddCounter("serve.queries");
-  telemetry_->RecordValue(
-      "serve.query.age_epochs",
-      static_cast<double>(current_epoch_.load(std::memory_order_relaxed) -
-                          snapshot->last_epoch));
-  const size_t iterations = options_.iterations == 0
-                                ? cs::DefaultIterationsForK(k)
-                                : options_.iterations;
-  cs::SolverOptions solve;
-  solve.solver = options_.solver;
-  solve.iterations = iterations;
-  solve.telemetry = telemetry_;
-  CSOD_ASSIGN_OR_RETURN(cs::BompResult recovery,
-                        cs::RecoverBiased(matrix(), snapshot->y, solve));
-  // Rank recovered entries by value, ties toward the lower key — the same
-  // ordering as DistributedOutlierDetector::DetectTopK.
-  std::vector<outlier::Outlier> top;
-  top.reserve(recovery.entries.size());
-  for (const cs::RecoveredEntry& e : recovery.entries) {
-    top.push_back(outlier::Outlier{e.index, e.value, e.value});
-  }
-  std::sort(top.begin(), top.end(),
-            [](const outlier::Outlier& a, const outlier::Outlier& b) {
-              if (a.value != b.value) return a.value > b.value;
-              return a.key_index < b.key_index;
-            });
-  if (top.size() > k) top.resize(k);
-  return top;
-}
-
-Result<cs::BompResult> StreamingDetector::QueryRecovery(
-    size_t iterations) const {
-  if (iterations == 0) {
-    return Status::InvalidArgument("QueryRecovery: iterations must be > 0");
-  }
-  std::shared_ptr<const SketchSnapshot> snapshot = Snapshot();
-  if (snapshot == nullptr) {
-    return Status::FailedPrecondition(
-        "QueryRecovery: no snapshot published yet (close an epoch first)");
-  }
-  obs::TraceSpan span(telemetry_, "serve.query");
-  telemetry_->AddCounter("serve.queries");
-  cs::SolverOptions solve;
-  solve.solver = options_.solver;
-  solve.iterations = iterations;
-  solve.telemetry = telemetry_;
-  return cs::RecoverBiased(matrix(), snapshot->y, solve);
+  CSOD_ASSIGN_OR_RETURN(SnapshotAnswer out,
+                        Answer(outlier::QueryKind::kTop, k));
+  return std::move(out.ranked.outliers);
 }
 
 Status StreamingDetector::SetShardStalled(uint32_t shard, bool stalled) {

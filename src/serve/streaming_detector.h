@@ -13,6 +13,7 @@
 #include "cs/bomp.h"
 #include "cs/solver.h"
 #include "obs/telemetry.h"
+#include "outlier/answer.h"
 #include "outlier/outlier.h"
 #include "serve/snapshot.h"
 
@@ -38,8 +39,7 @@ struct StreamingDetectorOptions {
   size_t m = 0;
   uint64_t seed = 1;
   size_t iterations = 0;
-  /// Recovery engine for QueryOutliers / QueryTopK / QueryRecovery
-  /// (cs/solver.h). A query-time preference: snapshots are engine-agnostic.
+  /// Recovery engine for Answer / QueryOutliers / QueryTopK (cs/solver.h). A query-time preference: snapshots are engine-agnostic.
   cs::RecoverySolver solver = cs::RecoverySolver::kOmp;
   /// Closed epochs a window covers (the in-progress epoch is extra).
   size_t window_epochs = 0;
@@ -54,6 +54,18 @@ struct StreamingDetectorOptions {
   /// Telemetry sink ("serve.*" metrics; docs/STREAMING.md names them all).
   /// Null means disabled.
   obs::Telemetry* telemetry = nullptr;
+};
+
+/// A streaming answer together with the snapshot that produced it and the
+/// current epoch read atomically with that snapshot — so provenance and
+/// staleness (`current_epoch - snapshot->last_epoch`) describe exactly the
+/// data behind the rows.
+struct SnapshotAnswer {
+  /// kOutlier: ranked outliers and the recovered mode. kTop: rows ranked
+  /// by value (divergence == value) and mode 0 (outlier/answer.h).
+  outlier::OutlierSet ranked;
+  std::shared_ptr<const SketchSnapshot> snapshot;
+  uint64_t current_epoch = 0;
 };
 
 /// A full copy of one detector's mutable state at one instant: the epoch
@@ -99,9 +111,9 @@ struct DetectorCheckpoint {
 ///    `window_epochs + 1`: W closed epochs plus the in-progress one).
 ///  - **Queries** never touch the ring: every epoch close publishes an
 ///    immutable `SketchSnapshot` (swap-on-advance `shared_ptr`), and
-///    QueryOutliers/QueryTopK run BOMP against the snapshot they grabbed.
-///    Ingestion is never blocked by a query and vice versa; the only shared
-///    lock is the pointer swap.
+///    Answer recovers against the snapshot it grabbed. Ingestion is never
+///    blocked by a query and vice versa; the only shared lock is the
+///    pointer swap (which also carries the current epoch).
 ///
 /// **Determinism contract** (tested in serve_test.cc, gated in
 /// bench_streaming): the published window measurement — and therefore
@@ -130,7 +142,8 @@ struct DetectorCheckpoint {
 ///
 /// Thread safety: any number of concurrent callers. Mutating calls
 /// (IngestBatch / AdvanceTo / AdvanceEpoch / SetShardStalled) serialize on
-/// an ingest mutex; Snapshot()/Query* only copy the published pointer.
+/// an ingest mutex; Snapshot()/Answer/Query* only copy the published
+/// pointer.
 class StreamingDetector {
  public:
   static Result<std::unique_ptr<StreamingDetector>> Create(
@@ -177,15 +190,14 @@ class StreamingDetector {
   /// long as the caller holds it.
   std::shared_ptr<const SketchSnapshot> Snapshot() const;
 
-  /// k-outlier / top-k detection against the latest snapshot (BOMP on the
-  /// snapshot's window measurement; never blocks or observes ingestion).
-  /// Fails with FailedPrecondition before the first publication.
+  /// k-outlier / top-k detection against the latest snapshot
+  /// (outlier::Answer on the snapshot's window measurement; never blocks
+  /// or observes ingestion). Fails with FailedPrecondition before the
+  /// first publication.
+  Result<SnapshotAnswer> Answer(outlier::QueryKind kind, size_t k) const;
+  /// Answer(kOutlier, k).ranked / Answer(kTop, k).ranked.outliers.
   Result<outlier::OutlierSet> QueryOutliers(size_t k) const;
   Result<std::vector<outlier::Outlier>> QueryTopK(size_t k) const;
-
-  /// Full BOMP recovery of the latest snapshot (0 = f(k) default is not
-  /// applicable here; `iterations` must be > 0).
-  Result<cs::BompResult> QueryRecovery(size_t iterations) const;
 
   /// Marks a shard stalled (its share of every batch is deferred) or
   /// replays its backlog into the current epoch and resumes it. Replay
@@ -214,7 +226,9 @@ class StreamingDetector {
 
   // All Locked methods require ingest_mu_.
   uint64_t AdvanceEpochLocked();
-  void PublishLocked();
+  // Publishes the snapshot closing `epoch - 1` and makes `epoch` current
+  // under the same snapshot_mu_ critical section.
+  void PublishLocked(uint64_t epoch);
   void FlushIngestTelemetryLocked();
   Status FoldShardMeasurementsLocked(size_t num_slices, uint64_t events);
   Status SetShardStalledLocked(uint32_t shard, bool stalled);
@@ -249,6 +263,8 @@ class StreamingDetector {
   uint64_t buggify_batches_ = 0;
 
   std::atomic<bool> started_{false};
+  // A publication stores it under snapshot_mu_ together with snapshot_;
+  // readers that need it consistent with a snapshot take the same lock.
   std::atomic<uint64_t> current_epoch_{0};
   std::atomic<uint64_t> version_{0};
 

@@ -4,6 +4,7 @@
 #include <map>
 #include <mutex>
 
+#include "common/digest.h"
 #include "common/random.h"
 
 namespace csod::sim {
@@ -18,12 +19,9 @@ constexpr uint64_t kFireTag = 0x66697265ULL;              // "fire"
 // FNV-1a over the section name: the stable section id entering the hash
 // chain. Names, not addresses, so the id survives relinking and ASLR.
 uint64_t SectionId(const char* name) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char* p = name; *p != '\0'; ++p) {
-    h ^= static_cast<uint64_t>(static_cast<unsigned char>(*p));
-    h *= 0x100000001b3ULL;
-  }
-  return h;
+  Fnv1a digest;
+  digest.AddString(name);
+  return digest.hash();
 }
 
 // One registered section. Entries are never freed (the registry is

@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/digest.h"
 #include "common/parallel.h"
 #include "common/random.h"
 #include "common/status.h"
@@ -65,11 +66,9 @@ class Digest {
     Mix(bits);
   }
   void Mix(const std::string& text) {
-    uint64_t h = 0xcbf29ce484222325ULL;
-    for (unsigned char c : text) {
-      h = (h ^ c) * 0x100000001b3ULL;
-    }
-    Mix(h);
+    Fnv1a digest;
+    digest.AddString(text);
+    Mix(digest.hash());
     Mix(text.size());
   }
   void Mix(const outlier::OutlierSet& set) {

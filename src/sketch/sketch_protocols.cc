@@ -1,7 +1,6 @@
 #include "sketch/sketch_protocols.h"
 
 #include <algorithm>
-#include <cmath>
 #include <vector>
 
 namespace csod::sketch {
@@ -62,22 +61,7 @@ Result<outlier::OutlierSet> CountSketchOutlierProtocol::Run(
   std::nth_element(sorted.begin(), sorted.begin() + n / 2, sorted.end());
   const double mode = sorted[n / 2];
 
-  outlier::OutlierSet result;
-  result.mode = mode;
-  for (size_t key = 0; key < n; ++key) {
-    const double divergence = std::fabs(estimates[key] - mode);
-    if (divergence == 0.0) continue;
-    result.outliers.push_back(outlier::Outlier{key, estimates[key], divergence});
-  }
-  std::sort(result.outliers.begin(), result.outliers.end(),
-            [](const outlier::Outlier& a, const outlier::Outlier& b) {
-              if (a.divergence != b.divergence) {
-                return a.divergence > b.divergence;
-              }
-              return a.key_index < b.key_index;
-            });
-  if (result.outliers.size() > k) result.outliers.resize(k);
-  return result;
+  return outlier::KOutliersGivenMode(estimates, mode, k);
 }
 
 Result<dist::TopKRunResult> RunCountSketchTopK(
@@ -95,12 +79,7 @@ Result<dist::TopKRunResult> RunCountSketchTopK(
     const double estimate = merged.Estimate(key);
     all.push_back(outlier::Outlier{key, estimate, estimate});
   }
-  std::sort(all.begin(), all.end(),
-            [](const outlier::Outlier& a, const outlier::Outlier& b) {
-              if (a.value != b.value) return a.value > b.value;
-              return a.key_index < b.key_index;
-            });
-  if (all.size() > k) all.resize(k);
+  outlier::RankTopK(&all, k);
   dist::TopKRunResult result;
   result.top = std::move(all);
   return result;

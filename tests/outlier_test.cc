@@ -96,6 +96,26 @@ TEST(TopKTest, DistinctFromOutlierK) {
   OutlierSet outliers = ExactKOutliers(x, k);
   ASSERT_EQ(outliers.outliers.size(), k);
   EXPECT_EQ(outliers.outliers[0].key_index, 4u);  // |20−1800| dominates.
+
+  // RankTopK, the ranking behind TopK: equal values go to the lower key
+  // first, whatever the input order, and k past the candidate count keeps
+  // every candidate.
+  std::vector<Outlier> tied = {{9, 1800, 1800}, {2, 1805, 1805},
+                               {4, 1800, 1800}, {0, 1800, 1800}};
+  RankTopK(&tied, 10);
+  ASSERT_EQ(tied.size(), 4u);
+  EXPECT_EQ(tied[0].key_index, 2u);
+  EXPECT_EQ(tied[1].key_index, 0u);
+  EXPECT_EQ(tied[2].key_index, 4u);
+  EXPECT_EQ(tied[3].key_index, 9u);
+  RankTopK(&tied, 2);
+  ASSERT_EQ(tied.size(), 2u);
+  EXPECT_EQ(tied[1].key_index, 0u);
+  const std::vector<Outlier> all = TopK(x, x.size() + 3);
+  ASSERT_EQ(all.size(), x.size());
+  EXPECT_EQ(all[2].key_index, 0u);  // The three 1800s, lowest key first.
+  EXPECT_EQ(all[3].key_index, 1u);
+  EXPECT_EQ(all[4].key_index, 2u);
 }
 
 TEST(AbsoluteTopKTest, RanksByMagnitude) {

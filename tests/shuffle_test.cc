@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "common/arena.h"
+#include "common/digest.h"
 #include "common/parallel.h"
 #include "common/random.h"
 #include "mapreduce/engine.h"
@@ -329,23 +330,14 @@ Job<ScoreEventLike, uint64_t, double, std::pair<uint64_t, double>> StressJob(
   return job;
 }
 
-uint64_t Fnv1a(const void* data, size_t bytes, uint64_t h) {
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < bytes; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
 uint64_t DigestOutput(
     const std::vector<std::pair<uint64_t, double>>& output) {
-  uint64_t h = 1469598103934665603ULL;
+  Fnv1a digest;
   for (const auto& [key, sum] : output) {
-    h = Fnv1a(&key, sizeof(key), h);
-    h = Fnv1a(&sum, sizeof(sum), h);
+    digest.AddU64(key);
+    digest.AddDouble(sum);
   }
-  return h;
+  return digest.hash();
 }
 
 TEST(EngineStressTest, HighCardinalityBitIdentityMatrix) {
