@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Runs the recovery-engine benchmark (BENCH_recovery.json at the repo
-# root): the AMP-vs-BOMP wall-time crossover at N = 100k, the four-engine
+# root): the AMP-vs-BOMP wall-time crossover at N = 100k, the three-engine
 # table behind `--solver=`, AMP output digests across thread limits
-# {1,2,8} x {portable, native} SIMD dispatch, and the two-phase / DAMP
+# {1,2,8} x {portable, native} SIMD dispatch, and the two-phase
 # wire-byte comparison on the Figure 7 production workload.
 #
 # The bench runs twice; timings differ run to run, so the determinism

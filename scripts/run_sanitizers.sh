@@ -108,13 +108,13 @@ cmake --build "$PORTABLE_BUILD_DIR" -j "$(nproc)" --target \
    -R 'Simd|MeasurementMatrix|Compressor|SparseSlice')
 
 # Recovery-engine pass (DESIGN.md §14): the AMP kernel's ParallelFor
-# matvecs, the cross-engine dispatch, the streaming DAMP protocol, and
-# the two-phase sense-then-refine path all thread through the pool and
+# matvecs, the cross-engine dispatch, and the two-phase
+# sense-then-refine path all thread through the pool and
 # the Channel — rerun their suites explicitly (and again with portable
 # dispatch forced, mirroring the SIMD block above) so a filtered
 # invocation still sanitizes both sides of every recovery engine.
 RECOVERY_FILTER='AmpTest|BiasedAmpTest|SolverTest|SolverDifferential'
-RECOVERY_FILTER+='|AmpProtocol|TwoPhaseProtocol|TelemetryIdentity'
+RECOVERY_FILTER+='|TwoPhaseProtocol|TelemetryIdentity'
 ctest --output-on-failure -j "$(nproc)" -R "$RECOVERY_FILTER"
 cmake --build "$PORTABLE_BUILD_DIR" -j "$(nproc)" --target \
   amp_test solver_differential_test
@@ -123,7 +123,7 @@ cmake --build "$PORTABLE_BUILD_DIR" -j "$(nproc)" --target \
    -R 'AmpTest|BiasedAmpTest|SolverTest|SolverDifferential')
 
 # Simulation smoke pass: a small seeded sweep through the full harness
-# (all nine scenario kinds, Buggify hooks hot, every scenario internally
+# (all eight scenario kinds, Buggify hooks hot, every scenario internally
 # re-executed at a second thread limit) under the sanitizer. TSan is the
 # interesting one — Buggify's section registry and the serve stall storm
 # both poke shared state from pool threads. The sim_test suite and the

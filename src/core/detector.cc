@@ -178,6 +178,15 @@ DistributedOutlierDetector::Load(std::istream& in) {
     if (!(in >> id >> size)) {
       return Status::InvalidArgument("Load: malformed source header");
     }
+    if (size > dist::MeasurementWireSize(options.m)) {
+      return Status::InvalidArgument(
+          "Load: sketch length " + std::to_string(size) +
+          " exceeds the encoded size of an M-row measurement");
+    }
+    if (detector->sketches_.count(id) != 0) {
+      return Status::InvalidArgument("Load: duplicate source " +
+                                     std::to_string(id));
+    }
     in.get();  // The newline after the header.
     std::string message(size, '\0');
     in.read(message.data(), static_cast<std::streamsize>(size));

@@ -19,31 +19,14 @@ struct AmpOptions {
   /// flatness is the whole point of the engine (see DESIGN.md §14).
   size_t max_iterations = 0;
 
-  /// Threshold multiplier λ: each iteration soft-thresholds the pseudo-
-  /// data at θ_t = λ·σ̂_t with σ̂_t = ||z_t||₂/√M, the AMP state-evolution
-  /// estimate of the effective noise. Values in [1.2, 2] trade support
-  /// precision against convergence speed; 1.4 is a robust default for the
-  /// undersampling regimes the protocols run at. Whenever λ·σ̂ would keep
-  /// more than M/3 atoms alive (small M/N makes the Onsager coefficient
-  /// |supp|/M explode otherwise), the threshold is raised to the order
-  /// statistic that caps the support at M/3 — deterministic, so the
-  /// bit-identity contract is unaffected.
-  double threshold_multiplier = 1.4;
-
   /// Stop when the relative iterate change ||x_{t+1}−x_t||/||x_{t+1}||
   /// drops below this.
   double tolerance = 1e-9;
 
   /// Atom indices exempt from thresholding (the biased variant leaves the
-  /// bias coefficient free, exactly like FISTA's `unpenalized_atoms`).
+  /// bias coefficient free, exactly like basis pursuit's
+  /// `unpenalized_atoms`).
   std::vector<size_t> unthresholded_atoms;
-
-  /// After the iterations stop, re-solve least squares on the detected
-  /// support (capped at `M/4` atoms, strongest first). Soft thresholding
-  /// shrinks every surviving coefficient by θ; the debias pass removes
-  /// that bias so AMP values are comparable to the greedy solvers'
-  /// least-squares values at ~one OMP iteration of extra cost.
-  bool debias = true;
 
   /// Telemetry sink ("amp.*" histograms + the "amp.recover" span). Null
   /// or disabled is free.
@@ -56,7 +39,7 @@ struct AmpResult {
   /// outside the detected support.
   std::vector<double> x;
   size_t iterations = 0;
-  /// ||y − Φx̂||₂ at termination (after the debias pass when enabled).
+  /// ||y − Φx̂||₂ at termination (after the debias pass).
   double final_residual_norm = 0.0;
   /// Per-iteration effective-noise estimates σ̂_t (the state-evolution
   /// trajectory; decays geometrically when AMP is converging).
@@ -74,6 +57,11 @@ size_t DefaultAmpIterations();
 ///
 ///     x_{t+1} = η(x_t + Φᵀ z_t; θ_t)                      (soft threshold)
 ///     z_{t+1} = y − Φ x_{t+1} + (|supp x_{t+1}|/M) · z_t  (Onsager term)
+///
+/// The threshold is θ_t = 1.4·σ̂_t with σ̂_t = ||z_t||₂/√M, raised to
+/// the order statistic that keeps at most M/3 atoms alive. After the
+/// iterations stop, least squares is re-solved on the detected support
+/// (the strongest M/4 atoms) to undo the soft-threshold shrinkage.
 ///
 /// Both matvecs are the dictionary's existing `ParallelFor`-blocked SIMD
 /// kernels (fixed-lane summation trees, fixed block geometry), and every

@@ -15,14 +15,14 @@ namespace csod::cs {
 /// around an unknown mode from `y = Φ0 x` via the extended dictionary
 /// `[φ0, Φ0]` — and returns the common `BompResult` currency, so callers
 /// (Detector, protocols, serve, CLI) switch engines without code changes.
+/// Enumerator values are fixed; a removed engine's value is not reused.
 enum class RecoverySolver {
-  kOmp,     ///< BOMP — the paper's Algorithm 1 (greedy, default).
-  kCosamp,  ///< Biased CoSaMP (greedy with uniform guarantees).
-  kFista,   ///< Biased basis pursuit via FISTA (convex relaxation).
-  kAmp,     ///< Biased AMP (fixed-cost iterations; fastest at large k).
+  kOmp = 0,     ///< BOMP — the paper's Algorithm 1 (greedy, default).
+  kCosamp = 1,  ///< Biased CoSaMP (greedy with uniform guarantees).
+  kAmp = 3,     ///< Biased AMP (fixed-cost iterations; fastest at large k).
 };
 
-/// Canonical lowercase name ("omp", "cosamp", "fista", "amp") — the
+/// Canonical lowercase name ("omp", "cosamp", "amp") — the
 /// `--solver=` flag values and the provenance-block spelling.
 const char* SolverName(RecoverySolver solver);
 
@@ -38,8 +38,6 @@ struct SolverOptions {
   ///  - cosamp: sparsity s = max(8, 2R/7) — the inverse of the paper's
   ///            R = f(k) ≈ 3.5k midpoint, so the same R targets the same
   ///            outlier count; halving iterations stay at their default.
-  ///  - fista:  FISTA iterations = min(R·4, 500) — proximal steps are
-  ///            ~R/4 the cost of an OMP iteration at equal M·N.
   ///  - amp:    AMP keeps its fixed default budget (iterations are
   ///            support-independent); R only caps it when R is smaller.
   size_t iterations = 0;

@@ -9,6 +9,7 @@
 #include "la/incremental_qr.h"
 #include "la/vector_ops.h"
 #include "outlier/answer.h"
+#include "outlier/outlier.h"
 #include "sim/buggify.h"
 
 namespace csod::dist {
@@ -272,21 +273,20 @@ Result<outlier::OutlierSet> AdaptiveCsProtocol::RunTwoPhase(
 
   // Candidate support S: the support_factor·k locate entries furthest from
   // the mode (over-selected so a true outlier only has to *appear*, not
-  // rank). Ties toward the lower key, then sorted ascending — the order the
-  // coordinator broadcasts and every node iterates.
+  // rank), ranked by RankOutliers with zero-divergence entries kept, then
+  // sorted ascending — the order the coordinator broadcasts and every node
+  // iterates.
   std::vector<size_t> support;
   {
-    std::vector<cs::RecoveredEntry> ranked = located.entries;
-    std::sort(ranked.begin(), ranked.end(),
-              [&](const cs::RecoveredEntry& a, const cs::RecoveredEntry& b) {
-                const double da = std::fabs(a.value - located.mode);
-                const double db = std::fabs(b.value - located.mode);
-                if (da != db) return da > db;
-                return a.index < b.index;
-              });
-    const size_t target = std::min(ranked.size(), options_.support_factor * k);
-    support.reserve(target);
-    for (size_t i = 0; i < target; ++i) support.push_back(ranked[i].index);
+    std::vector<outlier::Outlier> ranked;
+    ranked.reserve(located.entries.size());
+    for (const cs::RecoveredEntry& e : located.entries) {
+      ranked.push_back(outlier::Outlier{e.index, e.value,
+                                        std::fabs(e.value - located.mode)});
+    }
+    outlier::RankOutliers(&ranked, options_.support_factor * k);
+    support.reserve(ranked.size());
+    for (const outlier::Outlier& o : ranked) support.push_back(o.key_index);
     std::sort(support.begin(), support.end());
     support.erase(std::unique(support.begin(), support.end()), support.end());
   }

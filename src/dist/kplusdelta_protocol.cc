@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "outlier/outlier.h"
 #include "sim/buggify.h"
 
 namespace csod::dist {
@@ -98,14 +99,7 @@ Result<outlier::OutlierSet> KPlusDeltaProtocol::Run(const Cluster& cluster,
     if (divergence == 0.0) continue;
     result.outliers.push_back(outlier::Outlier{key, value, divergence});
   }
-  std::sort(result.outliers.begin(), result.outliers.end(),
-            [](const outlier::Outlier& a, const outlier::Outlier& b) {
-              if (a.divergence != b.divergence) {
-                return a.divergence > b.divergence;
-              }
-              return a.key_index < b.key_index;
-            });
-  if (result.outliers.size() > k) result.outliers.resize(k);
+  outlier::RankOutliers(&result.outliers, k);
   return result;
 }
 

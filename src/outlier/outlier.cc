@@ -6,23 +6,6 @@
 
 namespace csod::outlier {
 
-namespace {
-
-// Sorts outliers by divergence descending, ties by key index ascending,
-// then truncates to k.
-void SortAndTruncate(std::vector<Outlier>* outliers, size_t k) {
-  std::sort(outliers->begin(), outliers->end(),
-            [](const Outlier& a, const Outlier& b) {
-              if (a.divergence != b.divergence) {
-                return a.divergence > b.divergence;
-              }
-              return a.key_index < b.key_index;
-            });
-  if (outliers->size() > k) outliers->resize(k);
-}
-
-}  // namespace
-
 double ComputeMode(const std::vector<double>& x) {
   if (x.empty()) return 0.0;
   std::unordered_map<double, size_t> counts;
@@ -62,7 +45,7 @@ OutlierSet KOutliersGivenMode(const std::vector<double>& x, double mode,
     result.outliers.push_back(
         Outlier{i, x[i], std::fabs(x[i] - mode)});
   }
-  SortAndTruncate(&result.outliers, k);
+  RankOutliers(&result.outliers, k);
   return result;
 }
 
@@ -74,8 +57,19 @@ OutlierSet KOutliersFromRecovery(const cs::BompResult& recovery, size_t k) {
     if (divergence == 0.0) continue;
     result.outliers.push_back(Outlier{e.index, e.value, divergence});
   }
-  SortAndTruncate(&result.outliers, k);
+  RankOutliers(&result.outliers, k);
   return result;
+}
+
+void RankOutliers(std::vector<Outlier>* candidates, size_t k) {
+  std::sort(candidates->begin(), candidates->end(),
+            [](const Outlier& a, const Outlier& b) {
+              if (a.divergence != b.divergence) {
+                return a.divergence > b.divergence;
+              }
+              return a.key_index < b.key_index;
+            });
+  if (candidates->size() > k) candidates->resize(k);
 }
 
 void RankTopK(std::vector<Outlier>* candidates, size_t k) {
@@ -103,7 +97,7 @@ std::vector<Outlier> AbsoluteTopK(const std::vector<double>& x, size_t k) {
   for (size_t i = 0; i < x.size(); ++i) {
     all.push_back(Outlier{i, x[i], std::fabs(x[i])});
   }
-  SortAndTruncate(&all, k);
+  RankOutliers(&all, k);
   return all;
 }
 

@@ -48,6 +48,12 @@ OutlierSet KOutliersGivenMode(const std::vector<double>& x, double mode,
 /// recovered mode.
 OutlierSet KOutliersFromRecovery(const cs::BompResult& recovery, size_t k);
 
+/// The one divergence ranking: sorts `candidates` by divergence
+/// descending, ties toward the lower key index, and keeps the first
+/// min(k, size). Entries are ranked as given; callers that answer the
+/// k-outlier problem drop zero-divergence entries first.
+void RankOutliers(std::vector<Outlier>* candidates, size_t k);
+
 /// The one value ranking: sorts `candidates` by value descending, ties
 /// toward the lower key index, and keeps the first min(k, size).
 void RankTopK(std::vector<Outlier>* candidates, size_t k);

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <limits>
 #include <map>
 #include <set>
@@ -17,7 +19,6 @@
 #include "common/status.h"
 #include "cs/compressor.h"
 #include "dist/adaptive_cs_protocol.h"
-#include "dist/amp_protocol.h"
 #include "dist/cluster.h"
 #include "dist/comm.h"
 #include "dist/cs_protocol.h"
@@ -495,62 +496,6 @@ void RunAdaptiveScenario(const Scenario& s, Ctx* ctx) {
         outlier::ExactKOutliers(partial, s.k), estimate);
     ctx->digest.Mix(quality.precision);
     ctx->digest.Mix(quality.recall);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// kAmp
-// ---------------------------------------------------------------------------
-
-void RunAmpScenario(const Scenario& s, Ctx* ctx) {
-  Result<CsWorkload> built = BuildCsWorkload(
-      s, 10000.0, workload::PartitionStrategy::kSkewedSplit, false);
-  if (!built.ok()) {
-    ctx->Violate("amp: workload build failed: " + built.status().ToString());
-    return;
-  }
-  CsWorkload& w = built.Value();
-
-  dist::DistributedAmpOptions opts;
-  opts.m = s.m;
-  opts.seed = SplitMix64(HashCombine(s.seed, kProtoTag));
-  opts.faults = s.faults;
-  opts.retry = s.retry;
-  dist::DistributedAmpProtocol protocol(opts);
-  obs::Telemetry telemetry;
-  protocol.set_telemetry(&telemetry);
-  dist::CommStats comm;
-  Result<outlier::OutlierSet> run = protocol.Run(w.cluster, s.k, &comm);
-  const dist::CollectionReport report = protocol.last_collection();
-  BuggifyDisable();
-
-  CheckCommTelemetry(telemetry, comm, "amp", ctx);
-  ctx->digest.Mix(comm);
-  MixCollection(report, ctx);
-  for (const dist::AmpRound& round : protocol.rounds()) {
-    ctx->digest.Mix(round.threshold);
-    ctx->digest.Mix(round.tuples);
-    ctx->digest.Mix(round.accepted);
-  }
-  if (!run.ok()) {
-    HandleProtocolError(run.status(), report, w.cluster.num_nodes(), "amp",
-                        ctx);
-    return;
-  }
-  const outlier::OutlierSet& estimate = run.Value();
-  ctx->digest.Mix(estimate);
-  const outlier::KeySetQuality quality =
-      outlier::KeyQuality(w.truth, estimate);
-  ctx->digest.Mix(quality.precision);
-  ctx->digest.Mix(quality.recall);
-  if (report.excluded_nodes.empty()) {
-    // AMP is approximate even fault-free; the documented floor (THEORY §7)
-    // is a quality envelope, not exactness.
-    if (quality.recall < 0.5 || quality.precision < 0.5) {
-      ctx->Violate("amp: fault-free quality below floor: precision " +
-                   std::to_string(quality.precision) + ", recall " +
-                   std::to_string(quality.recall));
-    }
   }
 }
 
@@ -1084,9 +1029,6 @@ ScenarioOutcome ExecuteScenario(const Scenario& scenario,
     case ScenarioKind::kTwoPhase:
       RunAdaptiveScenario(scenario, &ctx);
       break;
-    case ScenarioKind::kAmp:
-      RunAmpScenario(scenario, &ctx);
-      break;
     case ScenarioKind::kKPlusDelta:
       RunKPlusDeltaScenario(scenario, &ctx);
       break;
@@ -1205,6 +1147,33 @@ ScenarioOutcome ReplaySeed(uint64_t seed, std::string* out_scenario_line) {
     *out_scenario_line = ScenarioToString(scenario);
   }
   return RunScenario(scenario);
+}
+
+Result<std::vector<uint64_t>> LoadCorpus(const std::string& path) {
+  std::ifstream in(path);
+  if (!in.is_open()) {
+    return Status::NotFound("cannot open corpus " + path);
+  }
+  std::vector<uint64_t> seeds;
+  std::string line;
+  size_t lineno = 0;
+  while (std::getline(in, line)) {
+    ++lineno;
+    const size_t hash = line.find('#');
+    if (hash != std::string::npos) line.resize(hash);
+    const size_t first = line.find_first_not_of(" \t\r");
+    if (first == std::string::npos) continue;
+    const size_t last = line.find_last_not_of(" \t\r");
+    const std::string token = line.substr(first, last - first + 1);
+    char* end = nullptr;
+    const unsigned long long seed = std::strtoull(token.c_str(), &end, 10);
+    if (end == token.c_str() || *end != '\0') {
+      return Status::InvalidArgument(path + ":" + std::to_string(lineno) +
+                                     ": bad seed '" + token + "'");
+    }
+    seeds.push_back(static_cast<uint64_t>(seed));
+  }
+  return seeds;
 }
 
 }  // namespace csod::sim

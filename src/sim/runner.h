@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/status.h"
 #include "sim/scenario.h"
 
 namespace csod::sim {
@@ -65,6 +66,12 @@ SweepResult RunSweep(const SweepOptions& options);
 /// Replays one seed (the recipe printed by a failing run) and returns its
 /// outcome; `out_scenario_line` (optional) receives the scenario string.
 ScenarioOutcome ReplaySeed(uint64_t seed, std::string* out_scenario_line);
+
+/// Seeds of a regression-corpus file (tests/sim_corpus): one decimal seed
+/// per line, whitespace trimmed, '#' to end of line is a comment, blank
+/// lines skipped. NotFound if the file cannot be opened; InvalidArgument
+/// names the first malformed line.
+Result<std::vector<uint64_t>> LoadCorpus(const std::string& path);
 
 }  // namespace csod::sim
 

@@ -27,8 +27,7 @@ constexpr ScenarioKind kKindTable[] = {
     ScenarioKind::kCs,           ScenarioKind::kCs,
     ScenarioKind::kCs,           ScenarioKind::kAdaptiveGrow,
     ScenarioKind::kAdaptiveGrow, ScenarioKind::kTwoPhase,
-    ScenarioKind::kTwoPhase,     ScenarioKind::kAmp,
-    ScenarioKind::kAmp,          ScenarioKind::kKPlusDelta,
+    ScenarioKind::kTwoPhase,     ScenarioKind::kKPlusDelta,
     ScenarioKind::kThresholdTopK, ScenarioKind::kTputTopK,
     ScenarioKind::kMapReduce,    ScenarioKind::kMapReduce,
     ScenarioKind::kServe,        ScenarioKind::kServe,
@@ -36,7 +35,7 @@ constexpr ScenarioKind kKindTable[] = {
 
 bool IsCsFamily(ScenarioKind kind) {
   return kind == ScenarioKind::kCs || kind == ScenarioKind::kAdaptiveGrow ||
-         kind == ScenarioKind::kTwoPhase || kind == ScenarioKind::kAmp;
+         kind == ScenarioKind::kTwoPhase;
 }
 
 }  // namespace
@@ -46,7 +45,6 @@ const char* ScenarioKindName(ScenarioKind kind) {
     case ScenarioKind::kCs: return "cs";
     case ScenarioKind::kAdaptiveGrow: return "adaptive";
     case ScenarioKind::kTwoPhase: return "twophase";
-    case ScenarioKind::kAmp: return "amp";
     case ScenarioKind::kKPlusDelta: return "kplusdelta";
     case ScenarioKind::kThresholdTopK: return "ta";
     case ScenarioKind::kTputTopK: return "tput";
@@ -105,10 +103,10 @@ Scenario ScenarioFromSeed(uint64_t seed) {
   }
 
   if (s.kind == ScenarioKind::kTwoPhase) {
-    constexpr cs::RecoverySolver kSolvers[] = {
-        cs::RecoverySolver::kOmp, cs::RecoverySolver::kCosamp,
-        cs::RecoverySolver::kFista, cs::RecoverySolver::kAmp};
-    s.solver = kSolvers[rng.NextBounded(4)];
+    constexpr cs::RecoverySolver kSolvers[] = {cs::RecoverySolver::kOmp,
+                                               cs::RecoverySolver::kCosamp,
+                                               cs::RecoverySolver::kAmp};
+    s.solver = kSolvers[rng.NextBounded(3)];
   }
 
   // Buggify: armed on most runs; the unarmed rest pin the zero-overhead /
@@ -130,10 +128,10 @@ Scenario ScenarioFromSeed(uint64_t seed) {
     s.num_shards = rng.NextDouble() < 0.5 ? 4 : 8;
     s.batches_per_epoch = 2 + rng.NextBounded(3);
     s.events_per_batch = 200 + 100 * rng.NextBounded(4);
-    constexpr cs::RecoverySolver kSolvers[] = {
-        cs::RecoverySolver::kOmp, cs::RecoverySolver::kCosamp,
-        cs::RecoverySolver::kFista, cs::RecoverySolver::kAmp};
-    s.solver = kSolvers[rng.NextBounded(4)];
+    constexpr cs::RecoverySolver kSolvers[] = {cs::RecoverySolver::kOmp,
+                                               cs::RecoverySolver::kCosamp,
+                                               cs::RecoverySolver::kAmp};
+    s.solver = kSolvers[rng.NextBounded(3)];
   }
 
   if (s.kind == ScenarioKind::kMapReduce) {

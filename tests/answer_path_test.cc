@@ -200,7 +200,7 @@ TEST_P(AnswerPathTest, StreamingLeaderAndFollower) {
 INSTANTIATE_TEST_SUITE_P(
     Solvers, AnswerPathTest,
     ::testing::Values(cs::RecoverySolver::kOmp, cs::RecoverySolver::kCosamp,
-                      cs::RecoverySolver::kFista, cs::RecoverySolver::kAmp),
+                      cs::RecoverySolver::kAmp),
     [](const ::testing::TestParamInfo<cs::RecoverySolver>& info) {
       return std::string(cs::SolverName(info.param));
     });

@@ -215,6 +215,26 @@ TEST(DetectorTest, LoadRejectsGarbage) {
 
   std::stringstream truncated("csod-detector v1\n500 180 11 24 3\n");
   EXPECT_FALSE(DistributedOutlierDetector::Load(truncated).ok());
+
+  // A length far beyond the encoded size of an M-row measurement.
+  std::stringstream huge_length(
+      "csod-detector v1\n500 180 11 24 1\n0 4611686018427387904\n");
+  EXPECT_FALSE(DistributedOutlierDetector::Load(huge_length).ok());
+
+  // A valid one-source checkpoint whose source block appears twice.
+  auto detector = DistributedOutlierDetector::Create(SmallOptions()).MoveValue();
+  ASSERT_TRUE(
+      detector->AddSource(cs::SparseSlice::FromDense({3.0, 0.0, 7.0})).ok());
+  std::stringstream saved;
+  ASSERT_TRUE(detector->Save(saved).ok());
+  const std::string text = saved.str();
+  const size_t body = text.find('\n', text.find('\n') + 1) + 1;
+  std::string header = text.substr(0, body);
+  ASSERT_EQ(header[header.size() - 2], '1');
+  header[header.size() - 2] = '2';  // Source count 1 -> 2.
+  std::stringstream repeated_id(header + text.substr(body) +
+                                text.substr(body));
+  EXPECT_FALSE(DistributedOutlierDetector::Load(repeated_id).ok());
 }
 
 TEST(DetectorTest, AccessorsExposeConfiguration) {

@@ -3,7 +3,9 @@
 // RunScenario reproducibility — the properties scripts/run_simulation.sh
 // and the sim_corpus regression target lean on.
 
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -146,7 +148,7 @@ TEST(ScenarioTest, DerivationIsAPureFunctionOfTheSeed) {
 }
 
 TEST(ScenarioTest, SeedsCoverEveryScenarioKind) {
-  // 256 consecutive seeds must hit all nine kinds — the weighted table
+  // 256 consecutive seeds must hit all eight kinds — the weighted table
   // cannot silently starve a protocol of coverage.
   std::vector<bool> seen(static_cast<size_t>(ScenarioKind::kServe) + 1, false);
   for (uint64_t seed = 1; seed <= 256; ++seed) {
@@ -154,6 +156,35 @@ TEST(ScenarioTest, SeedsCoverEveryScenarioKind) {
   }
   for (size_t i = 0; i < seen.size(); ++i) {
     EXPECT_TRUE(seen[i]) << "kind " << i << " never generated";
+  }
+}
+
+TEST(ScenarioTest, CorpusCoversEveryKindAndSolver) {
+  // The tier-1 corpus replay must reach every kind, and the two kinds
+  // that pick a query solver under each engine — so a change to the
+  // scenario table cannot silently drop one from the corpus.
+  const Result<std::vector<uint64_t>> seeds = LoadCorpus(CSOD_SIM_CORPUS_PATH);
+  ASSERT_TRUE(seeds.ok()) << seeds.status().ToString();
+  std::set<ScenarioKind> kinds;
+  std::set<std::pair<ScenarioKind, cs::RecoverySolver>> solved;
+  for (uint64_t seed : seeds.Value()) {
+    const Scenario s = ScenarioFromSeed(seed);
+    kinds.insert(s.kind);
+    solved.insert({s.kind, s.solver});
+  }
+  for (size_t i = 0; i <= static_cast<size_t>(ScenarioKind::kServe); ++i) {
+    const auto kind = static_cast<ScenarioKind>(i);
+    EXPECT_EQ(kinds.count(kind), 1u)
+        << ScenarioKindName(kind) << " missing from the corpus";
+  }
+  for (ScenarioKind kind : {ScenarioKind::kTwoPhase, ScenarioKind::kServe}) {
+    for (cs::RecoverySolver solver :
+         {cs::RecoverySolver::kOmp, cs::RecoverySolver::kCosamp,
+          cs::RecoverySolver::kAmp}) {
+      EXPECT_EQ(solved.count({kind, solver}), 1u)
+          << ScenarioKindName(kind) << " with " << cs::SolverName(solver)
+          << " missing from the corpus";
+    }
   }
 }
 
@@ -180,7 +211,7 @@ TEST(ScenarioTest, BoundsHoldAcrossSeeds) {
 TEST(RunScenarioTest, OutcomeReplaysBitIdentically) {
   // One cheap seed per family keeps this inside tier-1 time budgets; the
   // 200-scenario sweep lives in scripts/run_simulation.sh.
-  for (const uint64_t seed : {2ull, 5ull, 19ull, 29ull, 33ull}) {
+  for (const uint64_t seed : {2ull, 5ull, 13ull, 14ull, 33ull}) {
     const ScenarioOutcome first = RunScenario(ScenarioFromSeed(seed));
     const ScenarioOutcome second = RunScenario(ScenarioFromSeed(seed));
     EXPECT_EQ(first.digest, second.digest) << "seed " << seed;

@@ -13,8 +13,6 @@
 // one-line replay recipe (`csod sim --replay SEED`).
 
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -40,41 +38,15 @@ int ReplayOne(uint64_t seed) {
   return outcome.ok() ? 0 : 1;
 }
 
-// Seeds from a regression-corpus file: one decimal seed per line,
-// whitespace trimmed, '#' to end of line is a comment, blank lines skipped.
-bool LoadCorpus(const std::string& path, std::vector<uint64_t>* seeds) {
-  std::ifstream in(path);
-  if (!in.is_open()) {
-    std::fprintf(stderr, "sim_driver: cannot open corpus %s\n", path.c_str());
-    return false;
-  }
-  std::string line;
-  size_t lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    const size_t hash = line.find('#');
-    if (hash != std::string::npos) line.resize(hash);
-    const size_t first = line.find_first_not_of(" \t\r");
-    if (first == std::string::npos) continue;
-    const size_t last = line.find_last_not_of(" \t\r");
-    const std::string token = line.substr(first, last - first + 1);
-    char* end = nullptr;
-    const unsigned long long seed = std::strtoull(token.c_str(), &end, 10);
-    if (end == token.c_str() || *end != '\0') {
-      std::fprintf(stderr, "sim_driver: %s:%zu: bad seed '%s'\n", path.c_str(),
-                   lineno, token.c_str());
-      return false;
-    }
-    seeds->push_back(static_cast<uint64_t>(seed));
-  }
-  return true;
-}
-
 int RunCorpus(const std::string& path) {
-  std::vector<uint64_t> seeds;
-  if (!LoadCorpus(path, &seeds)) return 2;
+  const Result<std::vector<uint64_t>> seeds = sim::LoadCorpus(path);
+  if (!seeds.ok()) {
+    std::fprintf(stderr, "sim_driver: %s\n",
+                 seeds.status().ToString().c_str());
+    return 2;
+  }
   size_t failed = 0;
-  for (uint64_t seed : seeds) {
+  for (uint64_t seed : seeds.Value()) {
     std::string line;
     const sim::ScenarioOutcome outcome = sim::ReplaySeed(seed, &line);
     std::printf("seed=%llu digest=%016llx %s %s\n",
@@ -90,7 +62,8 @@ int RunCorpus(const std::string& path) {
                   static_cast<unsigned long long>(seed));
     }
   }
-  std::printf("corpus: %zu seeds, %zu failed\n", seeds.size(), failed);
+  std::printf("corpus: %zu seeds, %zu failed\n", seeds.Value().size(),
+              failed);
   return failed == 0 ? 0 : 1;
 }
 
