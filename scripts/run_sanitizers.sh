@@ -60,6 +60,9 @@ SERVE_FILTER='StreamingDetector|StreamingService|WindowedDetector'
 SERVE_FILTER+='|CliServe|CliStreamDemo'
 SERVE_FILTER+='|NetCodec|NetServer|NetEndToEnd|NetBackpressure|NetTornFrame'
 SERVE_FILTER+='|SnapshotFollower|Checkpoint|AnswerPath|StalenessStress'
+# The one payload reader (dist/wire_format) behind every serve decoder and
+# both checkpoint formats, with its wrapped-count regression inputs.
+SERVE_FILTER+='|WireFormat|WireProperty|DetectorTest'
 ctest --output-on-failure -j "$(nproc)" -R "$SERVE_FILTER"
 
 # The same serve surface under the *other* sanitizer: the wire codecs do
@@ -72,7 +75,8 @@ if [[ -n "$OTHER_SAN" ]]; then
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCSOD_SANITIZE="$OTHER_SAN"
   cmake --build "$SERVE_OTHER_BUILD_DIR" -j "$(nproc)" --target \
-    serve_test serve_net_test serve_checkpoint_test answer_path_test
+    serve_test serve_net_test serve_checkpoint_test answer_path_test \
+    wire_format_test wire_property_test detector_test
   (cd "$SERVE_OTHER_BUILD_DIR" &&
    ctest --output-on-failure -j "$(nproc)" -R "$SERVE_FILTER")
 fi

@@ -1,6 +1,7 @@
 #include "core/detector.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 #include <string>
 
@@ -26,6 +27,11 @@ DistributedOutlierDetector::Create(const DetectorOptions& options) {
   }
   if (options.m == 0) {
     return Status::InvalidArgument("DetectorOptions.m must be > 0");
+  }
+  if (options.m > SIZE_MAX / sizeof(double) / options.n) {
+    return Status::InvalidArgument(
+        "DetectorOptions: m*n*8 bytes overflows size_t (m=" +
+        std::to_string(options.m) + ", n=" + std::to_string(options.n) + ")");
   }
   return std::unique_ptr<DistributedOutlierDetector>(
       new DistributedOutlierDetector(options));
@@ -137,76 +143,70 @@ Result<outlier::OutlierSet> DistributedOutlierDetector::AnswerFrom(
   return std::move(answer.ranked);
 }
 
-Status DistributedOutlierDetector::Save(std::ostream& out) const {
-  // Text header (versioned) followed by one length-prefixed wire-format
-  // measurement message per source.
-  out << "csod-detector v1\n";
-  out << options_.n << ' ' << options_.m << ' ' << options_.seed << ' '
-      << options_.iterations << ' ' << sketches_.size() << '\n';
+// Checkpoint payload (count = number of sources):
+//   u64 n, m, seed, iterations
+//   per source, ascending id: u64 id, u32 len, EncodeMeasurement bytes
+Result<std::string> DistributedOutlierDetector::Save() const {
+  std::string payload;
+  dist::AppendU64(&payload, options_.n);
+  dist::AppendU64(&payload, options_.m);
+  dist::AppendU64(&payload, options_.seed);
+  dist::AppendU64(&payload, options_.iterations);
   for (const auto& [id, sketch] : sketches_) {
     CSOD_ASSIGN_OR_RETURN(const std::string message,
                           dist::EncodeMeasurement(sketch));
-    out << id << ' ' << message.size() << '\n';
-    out.write(message.data(), static_cast<std::streamsize>(message.size()));
-    out << '\n';
+    dist::AppendU64(&payload, id);
+    dist::AppendBytes(&payload, message);
   }
-  if (!out.good()) {
-    return Status::Internal("Save: stream write failed");
-  }
-  return Status::OK();
+  return dist::EncodeFrame(dist::kDetectorCheckpointFrameKind,
+                           sketches_.size(), payload);
 }
 
 Result<std::unique_ptr<DistributedOutlierDetector>>
-DistributedOutlierDetector::Load(std::istream& in) {
-  std::string magic;
-  std::string version;
-  if (!(in >> magic >> version) || magic != "csod-detector" ||
-      version != "v1") {
-    return Status::InvalidArgument("Load: not a csod-detector v1 checkpoint");
+DistributedOutlierDetector::Load(const std::string& frame) {
+  CSOD_ASSIGN_OR_RETURN(const dist::FrameView view, dist::DecodeFrame(frame));
+  if (view.kind != dist::kDetectorCheckpointFrameKind) {
+    return Status::InvalidArgument("Load: not a detector checkpoint (kind " +
+                                   std::to_string(view.kind) + ")");
   }
+  dist::PayloadReader reader(view);
   DetectorOptions options;
-  size_t num_sources = 0;
-  if (!(in >> options.n >> options.m >> options.seed >> options.iterations >>
-        num_sources)) {
-    return Status::InvalidArgument("Load: malformed checkpoint header");
-  }
+  uint64_t u = 0;
+  CSOD_RETURN_NOT_OK(reader.U64(&u));
+  options.n = static_cast<size_t>(u);
+  CSOD_RETURN_NOT_OK(reader.U64(&u));
+  options.m = static_cast<size_t>(u);
+  CSOD_RETURN_NOT_OK(reader.U64(&options.seed));
+  CSOD_RETURN_NOT_OK(reader.U64(&u));
+  options.iterations = static_cast<size_t>(u);
+  // A source is at least its u64 id and a length-prefixed empty message.
+  CSOD_RETURN_NOT_OK(
+      reader.CheckCount(view.count, 8 + 4 + dist::MeasurementWireSize(0)));
   CSOD_ASSIGN_OR_RETURN(auto detector, Create(options));
 
-  for (size_t i = 0; i < num_sources; ++i) {
+  std::string message;
+  for (uint64_t i = 0; i < view.count; ++i) {
     SourceId id = 0;
-    size_t size = 0;
-    if (!(in >> id >> size)) {
-      return Status::InvalidArgument("Load: malformed source header");
-    }
-    if (size > dist::MeasurementWireSize(options.m)) {
+    CSOD_RETURN_NOT_OK(reader.U64(&id));
+    CSOD_RETURN_NOT_OK(reader.Bytes(&message));
+    CSOD_ASSIGN_OR_RETURN(std::vector<double> sketch,
+                          dist::DecodeMeasurement(message));
+    if (sketch.size() != options.m) {
       return Status::InvalidArgument(
-          "Load: sketch length " + std::to_string(size) +
-          " exceeds the encoded size of an M-row measurement");
+          "Load: sketch size " + std::to_string(sketch.size()) + " != M " +
+          std::to_string(options.m));
     }
     if (detector->sketches_.count(id) != 0) {
       return Status::InvalidArgument("Load: duplicate source " +
                                      std::to_string(id));
     }
-    in.get();  // The newline after the header.
-    std::string message(size, '\0');
-    in.read(message.data(), static_cast<std::streamsize>(size));
-    if (!in.good()) {
-      return Status::InvalidArgument("Load: truncated sketch payload");
-    }
-    in.get();  // The trailing newline.
-    CSOD_ASSIGN_OR_RETURN(std::vector<double> sketch,
-                          dist::DecodeMeasurement(message));
-    CSOD_ASSIGN_OR_RETURN(SourceId assigned,
-                          detector->AddSourceMeasurement(std::move(sketch)));
-    // Preserve the original ids so RemoveSource/ApplyDelta keep working
+    // The original ids are kept so RemoveSource/ApplyDelta keep working
     // across a checkpoint.
-    if (assigned != id) {
-      auto node = detector->sketches_.extract(assigned);
-      node.key() = id;
-      detector->sketches_.insert(std::move(node));
-      detector->next_id_ = std::max(detector->next_id_, id + 1);
-    }
+    la::Axpy(1.0, sketch, &detector->global_y_);
+    detector->sketches_.emplace(id, std::move(sketch));
+    detector->next_id_ = std::max(detector->next_id_, id + 1);
   }
+  CSOD_RETURN_NOT_OK(reader.ExpectEnd());
   return detector;
 }
 

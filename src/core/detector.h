@@ -2,10 +2,9 @@
 #define CSOD_CORE_DETECTOR_H_
 
 #include <cstdint>
-#include <istream>
 #include <map>
 #include <memory>
-#include <ostream>
+#include <string>
 #include <vector>
 
 #include "common/status.h"
@@ -60,7 +59,8 @@ using SourceId = uint64_t;
 /// key space except recovery itself.
 class DistributedOutlierDetector {
  public:
-  /// Validates options and builds the shared measurement matrix.
+  /// Validates options (n, m > 0 and m·n·8 fits size_t) and builds the
+  /// shared measurement matrix.
   static Result<std::unique_ptr<DistributedOutlierDetector>> Create(
       const DetectorOptions& options);
 
@@ -108,14 +108,17 @@ class DistributedOutlierDetector {
   const DetectorOptions& options() const { return options_; }
   const cs::MeasurementMatrix& matrix() const { return *matrix_; }
 
-  /// Checkpoints the detector (options + every source sketch) to a
-  /// stream. State is tiny — O(sources · M) — because only sketches are
-  /// retained, never data.
-  Status Save(std::ostream& out) const;
+  /// Checkpoints the detector (options + every source sketch, by id) as
+  /// one checksummed dist::kDetectorCheckpointFrameKind frame. State is
+  /// tiny — O(sources · M) — because only sketches are retained, never
+  /// data.
+  Result<std::string> Save() const;
 
-  /// Restores a detector from a checkpoint written by Save.
+  /// Restores a detector from a frame written by Save, keeping every
+  /// source id. DataLoss on torn/corrupted bytes, InvalidArgument on a
+  /// structurally inconsistent payload.
   static Result<std::unique_ptr<DistributedOutlierDetector>> Load(
-      std::istream& in);
+      const std::string& frame);
 
  private:
   explicit DistributedOutlierDetector(const DetectorOptions& options);

@@ -107,8 +107,10 @@ inline void FoldArgmax(size_t index, double value,
 MeasurementMatrix::MeasurementMatrix(size_t m, size_t n, uint64_t seed,
                                      size_t cache_budget_bytes)
     : m_(m), n_(n), seed_(seed), inv_sqrt_m_(1.0 / std::sqrt(double(m))) {
-  const size_t bytes = m_ * n_ * sizeof(double);
-  if (cache_budget_bytes > 0 && bytes <= cache_budget_bytes) {
+  // Divide, never multiply, before the product is known to fit: an m·n
+  // that wraps size_t must read as "over budget", not as a tiny cache.
+  const bool fits = m_ == 0 || n_ <= cache_budget_bytes / sizeof(double) / m_;
+  if (cache_budget_bytes > 0 && fits) {
     cache_.resize(m_ * n_);
     // Column-parallel and deterministic: each column's entries are a pure
     // function of (seed, col, row), written to a disjoint cache range.

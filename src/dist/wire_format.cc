@@ -10,10 +10,22 @@ namespace csod::dist {
 namespace {
 
 constexpr uint32_t kMagic = 0x43534f44;  // "CSOD"
-constexpr uint8_t kKindMeasurement = 1;
-constexpr uint8_t kKindKeyValues = 2;
 constexpr size_t kHeaderSize = 4 + 1 + 8;
 constexpr size_t kChecksumSize = 8;
+
+template <typename T>
+T Load(const char* p) {
+  T v;
+  std::memcpy(&v, p, sizeof(T));
+  return v;
+}
+
+template <typename T>
+void Append(std::string* out, T v) {
+  char buf[sizeof(T)];
+  std::memcpy(buf, &v, sizeof(T));
+  out->append(buf, sizeof(T));
+}
 
 // Rolling SplitMix-based checksum over a byte range (not cryptographic;
 // detects corruption).
@@ -21,7 +33,7 @@ uint64_t Checksum(const char* data, size_t size) {
   uint64_t h = 0x5bd1e995u ^ size;
   size_t i = 0;
   for (; i + 8 <= size; i += 8) {
-    h = HashCombine(h, ReadU64(data + i));
+    h = HashCombine(h, Load<uint64_t>(data + i));
   }
   uint64_t tail = 0;
   if (i < size) {
@@ -31,105 +43,171 @@ uint64_t Checksum(const char* data, size_t size) {
   return SplitMix64(h);
 }
 
-void FinishMessage(std::string* out) {
+// Frame assembly in place: header, then the caller appends the payload,
+// then FinishFrame seals it. EncodeFrame and the two message encoders all
+// build through these, so the envelope is written in one place.
+std::string BeginFrame(uint8_t kind, uint64_t count, size_t payload_size) {
+  std::string out;
+  out.reserve(FrameWireSize(payload_size));
+  AppendU32(&out, kMagic);
+  AppendU8(&out, kind);
+  AppendU64(&out, count);
+  return out;
+}
+
+void FinishFrame(std::string* out) {
   AppendU64(out, Checksum(out->data(), out->size()));
 }
 
-// Validates magic/kind/count/checksum; returns the payload pointer.
-Result<const char*> ValidateEnvelope(const std::string& bytes, uint8_t kind,
-                                     size_t payload_unit, uint64_t* count) {
+// Validates magic + checksum, reporting corruption with `code`.
+Result<FrameView> ParseFrame(const std::string& bytes, StatusCode code) {
   if (bytes.size() < kHeaderSize + kChecksumSize) {
-    return Status::InvalidArgument("wire: message too short");
+    return Status(code, "wire: frame too short");
   }
   const char* p = bytes.data();
-  if (ReadU32(p) != kMagic) {
-    return Status::InvalidArgument("wire: bad magic");
+  if (Load<uint32_t>(p) != kMagic) {
+    return Status(code, "wire: bad frame magic");
   }
-  if (static_cast<uint8_t>(p[4]) != kind) {
+  const uint64_t stored = Load<uint64_t>(p + bytes.size() - kChecksumSize);
+  if (Checksum(p, bytes.size() - kChecksumSize) != stored) {
+    return Status(code, "wire: frame checksum mismatch");
+  }
+  FrameView view;
+  view.kind = static_cast<uint8_t>(p[4]);
+  view.count = Load<uint64_t>(p + 5);
+  view.payload = p + kHeaderSize;
+  view.payload_size = bytes.size() - kHeaderSize - kChecksumSize;
+  return view;
+}
+
+// Opens a dist message of `kind`. Every corruption is InvalidArgument: an
+// embedded message never carries the transport's DataLoss retry signal.
+Result<FrameView> OpenMessage(const std::string& bytes, uint8_t kind) {
+  CSOD_ASSIGN_OR_RETURN(FrameView frame,
+                        ParseFrame(bytes, StatusCode::kInvalidArgument));
+  if (frame.kind != kind) {
     return Status::InvalidArgument("wire: unexpected message kind");
   }
-  *count = ReadU64(p + 5);
-  const size_t expected = kHeaderSize + *count * payload_unit + kChecksumSize;
-  if (bytes.size() != expected) {
-    return Status::InvalidArgument("wire: size mismatch (got " +
-                                   std::to_string(bytes.size()) +
-                                   ", want " + std::to_string(expected) + ")");
-  }
-  const uint64_t stored = ReadU64(p + bytes.size() - kChecksumSize);
-  if (Checksum(p, bytes.size() - kChecksumSize) != stored) {
-    return Status::InvalidArgument("wire: checksum mismatch");
-  }
-  return p + kHeaderSize;
+  return frame;
 }
 
 }  // namespace
 
-void AppendU32(std::string* out, uint32_t v) {
-  char buf[4];
-  std::memcpy(buf, &v, 4);
-  out->append(buf, 4);
+void AppendU8(std::string* out, uint8_t v) {
+  out->push_back(static_cast<char>(v));
+}
+void AppendU32(std::string* out, uint32_t v) { Append(out, v); }
+void AppendU64(std::string* out, uint64_t v) { Append(out, v); }
+void AppendF64(std::string* out, double v) { Append(out, v); }
+
+void AppendBytes(std::string* out, std::string_view bytes) {
+  AppendU32(out, static_cast<uint32_t>(bytes.size()));
+  out->append(bytes.data(), bytes.size());
 }
 
-void AppendU64(std::string* out, uint64_t v) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out->append(buf, 8);
+void AppendU32List(std::string* out, const std::vector<uint32_t>& values) {
+  AppendU32(out, static_cast<uint32_t>(values.size()));
+  for (uint32_t v : values) AppendU32(out, v);
 }
 
-void AppendF64(std::string* out, double v) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out->append(buf, 8);
+Status PayloadReader::Take(size_t bytes, const char** at) {
+  if (remaining_ < bytes) {
+    return Status::InvalidArgument("wire: truncated payload field");
+  }
+  *at = p_;
+  p_ += bytes;
+  remaining_ -= bytes;
+  return Status::OK();
 }
 
-uint32_t ReadU32(const char* p) {
-  uint32_t v;
-  std::memcpy(&v, p, 4);
-  return v;
+Status PayloadReader::U8(uint8_t* v) {
+  const char* at = nullptr;
+  CSOD_RETURN_NOT_OK(Take(1, &at));
+  *v = static_cast<uint8_t>(*at);
+  return Status::OK();
 }
 
-uint64_t ReadU64(const char* p) {
-  uint64_t v;
-  std::memcpy(&v, p, 8);
-  return v;
+Status PayloadReader::U32(uint32_t* v) {
+  const char* at = nullptr;
+  CSOD_RETURN_NOT_OK(Take(4, &at));
+  *v = Load<uint32_t>(at);
+  return Status::OK();
 }
 
-double ReadF64(const char* p) {
-  double v;
-  std::memcpy(&v, p, 8);
-  return v;
+Status PayloadReader::U64(uint64_t* v) {
+  const char* at = nullptr;
+  CSOD_RETURN_NOT_OK(Take(8, &at));
+  *v = Load<uint64_t>(at);
+  return Status::OK();
+}
+
+Status PayloadReader::F64(double* v) {
+  const char* at = nullptr;
+  CSOD_RETURN_NOT_OK(Take(8, &at));
+  *v = Load<double>(at);
+  return Status::OK();
+}
+
+Status PayloadReader::Bytes(std::string* out) {
+  uint32_t len = 0;
+  CSOD_RETURN_NOT_OK(U32(&len));
+  const char* at = nullptr;
+  CSOD_RETURN_NOT_OK(Take(len, &at));
+  out->assign(at, len);
+  return Status::OK();
+}
+
+Status PayloadReader::U32List(std::vector<uint32_t>* out) {
+  uint32_t count = 0;
+  CSOD_RETURN_NOT_OK(U32(&count));
+  CSOD_ASSIGN_OR_RETURN(const char* values, Span(count, 4));
+  out->resize(count);
+  for (uint32_t i = 0; i < count; ++i) {
+    (*out)[i] = Load<uint32_t>(values + 4 * size_t{i});
+  }
+  return Status::OK();
+}
+
+Status PayloadReader::CheckCount(uint64_t count, size_t unit_bytes) const {
+  if (count > remaining_ / unit_bytes) {
+    return Status::InvalidArgument(
+        "wire: count " + std::to_string(count) + " of " +
+        std::to_string(unit_bytes) + "-byte elements exceeds the " +
+        std::to_string(remaining_) + " payload bytes left");
+  }
+  return Status::OK();
+}
+
+Status PayloadReader::Count(uint64_t* count, size_t unit_bytes) {
+  CSOD_RETURN_NOT_OK(U64(count));
+  return CheckCount(*count, unit_bytes);
+}
+
+Result<const char*> PayloadReader::Span(uint64_t count, size_t unit_bytes) {
+  CSOD_RETURN_NOT_OK(CheckCount(count, unit_bytes));
+  const char* at = nullptr;
+  CSOD_RETURN_NOT_OK(Take(static_cast<size_t>(count) * unit_bytes, &at));
+  return at;
+}
+
+Status PayloadReader::ExpectEnd() const {
+  if (remaining_ != 0) {
+    return Status::InvalidArgument("wire: " + std::to_string(remaining_) +
+                                   " trailing payload bytes");
+  }
+  return Status::OK();
 }
 
 std::string EncodeFrame(uint8_t kind, uint64_t count,
                         std::string_view payload) {
-  std::string out;
-  out.reserve(FrameWireSize(payload.size()));
-  AppendU32(&out, kMagic);
-  out.push_back(static_cast<char>(kind));
-  AppendU64(&out, count);
+  std::string out = BeginFrame(kind, count, payload.size());
   out.append(payload.data(), payload.size());
-  FinishMessage(&out);
+  FinishFrame(&out);
   return out;
 }
 
 Result<FrameView> DecodeFrame(const std::string& bytes) {
-  if (bytes.size() < kHeaderSize + kChecksumSize) {
-    return Status::DataLoss("wire: frame too short");
-  }
-  const char* p = bytes.data();
-  if (ReadU32(p) != kMagic) {
-    return Status::DataLoss("wire: bad frame magic");
-  }
-  const uint64_t stored = ReadU64(p + bytes.size() - kChecksumSize);
-  if (Checksum(p, bytes.size() - kChecksumSize) != stored) {
-    return Status::DataLoss("wire: frame checksum mismatch");
-  }
-  FrameView view;
-  view.kind = static_cast<uint8_t>(p[4]);
-  view.count = ReadU64(p + 5);
-  view.payload = p + kHeaderSize;
-  view.payload_size = bytes.size() - kHeaderSize - kChecksumSize;
-  return view;
+  return ParseFrame(bytes, StatusCode::kDataLoss);
 }
 
 size_t FrameWireSize(size_t payload_size) {
@@ -143,22 +221,20 @@ Result<std::string> EncodeMeasurement(const std::vector<double>& y) {
           "wire: non-finite measurement entry at row " + std::to_string(i));
     }
   }
-  std::string out;
-  out.reserve(MeasurementWireSize(y.size()));
-  AppendU32(&out, kMagic);
-  out.push_back(static_cast<char>(kKindMeasurement));
-  AppendU64(&out, y.size());
+  std::string out = BeginFrame(kMeasurementFrameKind, y.size(), 8 * y.size());
   for (double v : y) AppendF64(&out, v);
-  FinishMessage(&out);
+  FinishFrame(&out);
   return out;
 }
 
 Result<std::vector<double>> DecodeMeasurement(const std::string& bytes) {
-  uint64_t count = 0;
-  CSOD_ASSIGN_OR_RETURN(const char* payload,
-                        ValidateEnvelope(bytes, kKindMeasurement, 8, &count));
-  std::vector<double> y(count);
-  for (uint64_t i = 0; i < count; ++i) y[i] = ReadF64(payload + 8 * i);
+  CSOD_ASSIGN_OR_RETURN(const FrameView frame,
+                        OpenMessage(bytes, kMeasurementFrameKind));
+  PayloadReader reader(frame);
+  CSOD_ASSIGN_OR_RETURN(const char* values, reader.Span(frame.count, 8));
+  CSOD_RETURN_NOT_OK(reader.ExpectEnd());
+  std::vector<double> y(frame.count);
+  for (uint64_t i = 0; i < frame.count; ++i) y[i] = Load<double>(values + 8 * i);
   return y;
 }
 
@@ -179,29 +255,28 @@ Result<std::string> EncodeKeyValues(const cs::SparseSlice& slice) {
           std::to_string(slice.indices[i]));
     }
   }
-  std::string out;
-  out.reserve(KeyValueWireSize(slice.nnz()));
-  AppendU32(&out, kMagic);
-  out.push_back(static_cast<char>(kKindKeyValues));
-  AppendU64(&out, slice.nnz());
+  std::string out =
+      BeginFrame(kKeyValuesFrameKind, slice.nnz(), 12 * slice.nnz());
   for (size_t i = 0; i < slice.nnz(); ++i) {
     AppendU32(&out, static_cast<uint32_t>(slice.indices[i]));
     AppendF64(&out, slice.values[i]);
   }
-  FinishMessage(&out);
+  FinishFrame(&out);
   return out;
 }
 
 Result<cs::SparseSlice> DecodeKeyValues(const std::string& bytes) {
-  uint64_t count = 0;
-  CSOD_ASSIGN_OR_RETURN(const char* payload,
-                        ValidateEnvelope(bytes, kKindKeyValues, 12, &count));
+  CSOD_ASSIGN_OR_RETURN(const FrameView frame,
+                        OpenMessage(bytes, kKeyValuesFrameKind));
+  PayloadReader reader(frame);
+  CSOD_ASSIGN_OR_RETURN(const char* pairs, reader.Span(frame.count, 12));
+  CSOD_RETURN_NOT_OK(reader.ExpectEnd());
   cs::SparseSlice slice;
-  slice.indices.reserve(count);
-  slice.values.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    slice.indices.push_back(ReadU32(payload + 12 * i));
-    slice.values.push_back(ReadF64(payload + 12 * i + 4));
+  slice.indices.resize(frame.count);
+  slice.values.resize(frame.count);
+  for (uint64_t i = 0; i < frame.count; ++i) {
+    slice.indices[i] = Load<uint32_t>(pairs + 12 * i);
+    slice.values[i] = Load<double>(pairs + 12 * i + 4);
   }
   return slice;
 }

@@ -1,6 +1,5 @@
 #include "serve/checkpoint.h"
 
-#include <cstring>
 #include <utility>
 
 #include "dist/wire_format.h"
@@ -10,10 +9,8 @@ namespace csod::serve {
 
 namespace {
 
-using dist::AppendU32;
 using dist::AppendU64;
-using dist::ReadU32;
-using dist::ReadU64;
+using dist::AppendU8;
 
 // Payload layout (after the generic [magic][kind][count] envelope header;
 // count = retained epochs):
@@ -24,14 +21,7 @@ using dist::ReadU64;
 //   per epoch: u64 events, u32 len, EncodeMeasurement bytes (own checksum)
 //   per shard: u8 stalled
 //   per shard: u64 num_slices; per slice: u32 len, EncodeKeyValues bytes
-//   if has_snapshot:
-//     u64 version, last_epoch, first_epoch, epochs_covered, events
-//     u32 num_stalled; u32 per stalled shard
-//     u32 len, EncodeMeasurement(y) bytes
-
-void AppendU8(std::string* out, uint8_t v) {
-  out->push_back(static_cast<char>(v));
-}
+//   if has_snapshot: the snapshot section (AppendSnapshotSection)
 
 Status AppendMessage(std::string* out, const Result<std::string>& message) {
   CSOD_RETURN_NOT_OK(message.status());
@@ -39,60 +29,39 @@ Status AppendMessage(std::string* out, const Result<std::string>& message) {
     return Status::InvalidArgument(
         "checkpoint: embedded message exceeds 4 GiB");
   }
-  AppendU32(out, static_cast<uint32_t>(message.Value().size()));
-  out->append(message.Value());
+  dist::AppendBytes(out, message.Value());
   return Status::OK();
 }
 
-// Bounds-checked cursor over the frame payload. Structural overruns are
-// InvalidArgument: the outer checksum already validated, so a short read
-// here means a malformed payload, not bit rot.
-struct Reader {
-  const char* p;
-  size_t remaining;
-
-  Status Need(size_t bytes) {
-    if (remaining < bytes) {
-      return Status::InvalidArgument("checkpoint: truncated payload field");
-    }
-    return Status::OK();
-  }
-  Status U8(uint8_t* v) {
-    CSOD_RETURN_NOT_OK(Need(1));
-    *v = static_cast<uint8_t>(*p);
-    ++p;
-    --remaining;
-    return Status::OK();
-  }
-  Status U32(uint32_t* v) {
-    CSOD_RETURN_NOT_OK(Need(4));
-    *v = ReadU32(p);
-    p += 4;
-    remaining -= 4;
-    return Status::OK();
-  }
-  Status U64(uint64_t* v) {
-    CSOD_RETURN_NOT_OK(Need(8));
-    *v = ReadU64(p);
-    p += 8;
-    remaining -= 8;
-    return Status::OK();
-  }
-  Status Bytes(size_t n, std::string* out) {
-    CSOD_RETURN_NOT_OK(Need(n));
-    out->assign(p, n);
-    p += n;
-    remaining -= n;
-    return Status::OK();
-  }
-  Status Message(std::string* out) {
-    uint32_t len = 0;
-    CSOD_RETURN_NOT_OK(U32(&len));
-    return Bytes(len, out);
-  }
-};
-
 }  // namespace
+
+Status AppendSnapshotSection(std::string* out, const SketchSnapshot& snapshot) {
+  AppendU64(out, snapshot.version);
+  AppendU64(out, snapshot.last_epoch);
+  AppendU64(out, snapshot.first_epoch);
+  AppendU64(out, snapshot.epochs_covered);
+  AppendU64(out, snapshot.events);
+  dist::AppendU32List(out, snapshot.stalled_shards);
+  // The window measurement travels as an embedded measurement message with
+  // its own checksum — the same bytes a protocol node would transmit.
+  return AppendMessage(out, dist::EncodeMeasurement(snapshot.y));
+}
+
+Status ReadSnapshotSection(dist::PayloadReader* reader,
+                           SketchSnapshot* snapshot) {
+  CSOD_RETURN_NOT_OK(reader->U64(&snapshot->version));
+  CSOD_RETURN_NOT_OK(reader->U64(&snapshot->last_epoch));
+  CSOD_RETURN_NOT_OK(reader->U64(&snapshot->first_epoch));
+  uint64_t covered = 0;
+  CSOD_RETURN_NOT_OK(reader->U64(&covered));
+  snapshot->epochs_covered = static_cast<size_t>(covered);
+  CSOD_RETURN_NOT_OK(reader->U64(&snapshot->events));
+  CSOD_RETURN_NOT_OK(reader->U32List(&snapshot->stalled_shards));
+  std::string y;
+  CSOD_RETURN_NOT_OK(reader->Bytes(&y));
+  CSOD_ASSIGN_OR_RETURN(snapshot->y, dist::DecodeMeasurement(y));
+  return Status::OK();
+}
 
 Result<std::string> EncodeCheckpoint(const StreamingDetectorOptions& options,
                                      const DetectorCheckpoint& checkpoint) {
@@ -135,16 +104,7 @@ Result<std::string> EncodeCheckpoint(const StreamingDetectorOptions& options,
   }
 
   if (checkpoint.snapshot != nullptr) {
-    const SketchSnapshot& snapshot = *checkpoint.snapshot;
-    AppendU64(&payload, snapshot.version);
-    AppendU64(&payload, snapshot.last_epoch);
-    AppendU64(&payload, snapshot.first_epoch);
-    AppendU64(&payload, snapshot.epochs_covered);
-    AppendU64(&payload, snapshot.events);
-    AppendU32(&payload, static_cast<uint32_t>(snapshot.stalled_shards.size()));
-    for (uint32_t shard : snapshot.stalled_shards) AppendU32(&payload, shard);
-    CSOD_RETURN_NOT_OK(
-        AppendMessage(&payload, dist::EncodeMeasurement(snapshot.y)));
+    CSOD_RETURN_NOT_OK(AppendSnapshotSection(&payload, *checkpoint.snapshot));
   }
 
   std::string frame =
@@ -167,8 +127,9 @@ Result<DecodedCheckpoint> DecodeCheckpoint(const std::string& frame) {
     return Status::InvalidArgument(
         "checkpoint: unexpected frame kind " + std::to_string(view.kind));
   }
-  Reader reader{view.payload, view.payload_size};
+  dist::PayloadReader reader(view);
   DecodedCheckpoint decoded;
+  DetectorCheckpoint& state = decoded.state;
   uint64_t u = 0;
   CSOD_RETURN_NOT_OK(reader.U64(&u));
   decoded.n = static_cast<size_t>(u);
@@ -186,13 +147,16 @@ Result<DecodedCheckpoint> DecodeCheckpoint(const std::string& frame) {
   CSOD_RETURN_NOT_OK(reader.U8(&has_snapshot));
   decoded.window =
       window_kind != 0 ? WindowKind::kTumbling : WindowKind::kSliding;
-  decoded.state.started = started != 0;
-  CSOD_RETURN_NOT_OK(reader.U64(&decoded.state.current_epoch));
-  CSOD_RETURN_NOT_OK(reader.U64(&decoded.state.version));
-  CSOD_RETURN_NOT_OK(reader.U64(&decoded.state.last_tick));
+  state.started = started != 0;
+  CSOD_RETURN_NOT_OK(reader.U64(&state.current_epoch));
+  CSOD_RETURN_NOT_OK(reader.U64(&state.version));
+  CSOD_RETURN_NOT_OK(reader.U64(&state.last_tick));
 
   uint64_t num_epochs = 0;
-  CSOD_RETURN_NOT_OK(reader.U64(&num_epochs));
+  // Each epoch is at least its u64 event count plus a length-prefixed
+  // empty measurement message.
+  CSOD_RETURN_NOT_OK(
+      reader.Count(&num_epochs, 8 + 4 + dist::MeasurementWireSize(0)));
   if (num_epochs != view.count) {
     return Status::InvalidArgument(
         "checkpoint: epoch count disagrees with the frame envelope");
@@ -200,68 +164,47 @@ Result<DecodedCheckpoint> DecodeCheckpoint(const std::string& frame) {
   if (num_epochs > decoded.window_epochs + 1) {
     return Status::InvalidArgument("checkpoint: more epochs than the ring");
   }
-  decoded.state.epoch_events.reserve(num_epochs);
-  decoded.state.epoch_sketches.reserve(num_epochs);
+  state.epoch_events.resize(num_epochs);
+  state.epoch_sketches.resize(num_epochs);
   std::string message;
   for (uint64_t e = 0; e < num_epochs; ++e) {
-    CSOD_RETURN_NOT_OK(reader.U64(&u));
-    decoded.state.epoch_events.push_back(u);
-    CSOD_RETURN_NOT_OK(reader.Message(&message));
-    CSOD_ASSIGN_OR_RETURN(std::vector<double> sketch,
+    CSOD_RETURN_NOT_OK(reader.U64(&state.epoch_events[e]));
+    CSOD_RETURN_NOT_OK(reader.Bytes(&message));
+    CSOD_ASSIGN_OR_RETURN(state.epoch_sketches[e],
                           dist::DecodeMeasurement(message));
-    if (sketch.size() != decoded.m) {
-      return Status::InvalidArgument("checkpoint: epoch sketch size " +
-                                     std::to_string(sketch.size()) +
-                                     " != M " + std::to_string(decoded.m));
+    if (state.epoch_sketches[e].size() != decoded.m) {
+      return Status::InvalidArgument(
+          "checkpoint: epoch sketch size " +
+          std::to_string(state.epoch_sketches[e].size()) + " != M " +
+          std::to_string(decoded.m));
     }
-    decoded.state.epoch_sketches.push_back(std::move(sketch));
   }
 
-  decoded.state.stalled.reserve(decoded.num_shards);
-  for (size_t p = 0; p < decoded.num_shards; ++p) {
-    uint8_t flag = 0;
-    CSOD_RETURN_NOT_OK(reader.U8(&flag));
-    decoded.state.stalled.push_back(flag);
-  }
-  decoded.state.backlogs.resize(decoded.num_shards);
-  for (size_t p = 0; p < decoded.num_shards; ++p) {
+  // Each shard is at least its u8 stall flag plus its u64 slice count.
+  CSOD_RETURN_NOT_OK(reader.CheckCount(decoded.num_shards, 1 + 8));
+  state.stalled.resize(decoded.num_shards);
+  for (uint8_t& flag : state.stalled) CSOD_RETURN_NOT_OK(reader.U8(&flag));
+  state.backlogs.resize(decoded.num_shards);
+  for (std::vector<cs::SparseSlice>& backlog : state.backlogs) {
     uint64_t num_slices = 0;
-    CSOD_RETURN_NOT_OK(reader.U64(&num_slices));
-    for (uint64_t i = 0; i < num_slices; ++i) {
-      CSOD_RETURN_NOT_OK(reader.Message(&message));
-      CSOD_ASSIGN_OR_RETURN(cs::SparseSlice slice,
-                            dist::DecodeKeyValues(message));
-      decoded.state.backlogs[p].push_back(std::move(slice));
+    CSOD_RETURN_NOT_OK(
+        reader.Count(&num_slices, 4 + dist::KeyValueWireSize(0)));
+    backlog.resize(num_slices);
+    for (cs::SparseSlice& slice : backlog) {
+      CSOD_RETURN_NOT_OK(reader.Bytes(&message));
+      CSOD_ASSIGN_OR_RETURN(slice, dist::DecodeKeyValues(message));
     }
   }
 
   if (has_snapshot != 0) {
     auto snapshot = std::make_shared<SketchSnapshot>();
-    CSOD_RETURN_NOT_OK(reader.U64(&snapshot->version));
-    CSOD_RETURN_NOT_OK(reader.U64(&snapshot->last_epoch));
-    CSOD_RETURN_NOT_OK(reader.U64(&snapshot->first_epoch));
-    CSOD_RETURN_NOT_OK(reader.U64(&u));
-    snapshot->epochs_covered = static_cast<size_t>(u);
-    CSOD_RETURN_NOT_OK(reader.U64(&snapshot->events));
-    uint32_t num_stalled = 0;
-    CSOD_RETURN_NOT_OK(reader.U32(&num_stalled));
-    snapshot->stalled_shards.reserve(num_stalled);
-    for (uint32_t i = 0; i < num_stalled; ++i) {
-      uint32_t shard = 0;
-      CSOD_RETURN_NOT_OK(reader.U32(&shard));
-      snapshot->stalled_shards.push_back(shard);
-    }
-    CSOD_RETURN_NOT_OK(reader.Message(&message));
-    CSOD_ASSIGN_OR_RETURN(snapshot->y, dist::DecodeMeasurement(message));
+    CSOD_RETURN_NOT_OK(ReadSnapshotSection(&reader, snapshot.get()));
     if (snapshot->y.size() != decoded.m) {
       return Status::InvalidArgument("checkpoint: snapshot y size mismatch");
     }
-    decoded.state.snapshot = std::move(snapshot);
+    state.snapshot = std::move(snapshot);
   }
-
-  if (reader.remaining != 0) {
-    return Status::InvalidArgument("checkpoint: trailing payload bytes");
-  }
+  CSOD_RETURN_NOT_OK(reader.ExpectEnd());
   return decoded;
 }
 

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "common/status.h"
+#include "dist/wire_format.h"
 #include "serve/streaming_detector.h"
 
 namespace csod::serve {
@@ -31,6 +32,16 @@ namespace csod::serve {
 /// 1–15 and the serve RPC kinds of serve/net.h; a checkpoint frame doubles
 /// as the fetch-checkpoint RPC response).
 inline constexpr uint8_t kCheckpointFrameKind = 24;
+
+/// The snapshot section: u64 version, last_epoch, first_epoch,
+/// epochs_covered, events; the stalled-shard list (dist::AppendU32List);
+/// then `y` as a length-prefixed embedded measurement message. The kind-34
+/// snapshot response and the kind-24 checkpoint both carry it, through
+/// this one writer and reader. Callers check `y`'s length against their
+/// own M.
+Status AppendSnapshotSection(std::string* out, const SketchSnapshot& snapshot);
+Status ReadSnapshotSection(dist::PayloadReader* reader,
+                           SketchSnapshot* snapshot);
 
 /// Serializes the stream geometry of `options` plus the full mutable
 /// state. The count field holds the number of retained epochs. Fails if a

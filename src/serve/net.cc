@@ -16,74 +16,24 @@ namespace csod::serve {
 
 namespace {
 
+using dist::AppendBytes;
 using dist::AppendF64;
 using dist::AppendU32;
+using dist::AppendU32List;
 using dist::AppendU64;
-using dist::ReadF64;
-using dist::ReadU32;
-using dist::ReadU64;
 
 uint8_t KindByte(NetFrameKind kind) { return static_cast<uint8_t>(kind); }
 
-void AppendString(std::string* out, const std::string& s) {
-  AppendU32(out, static_cast<uint32_t>(s.size()));
-  out->append(s);
-}
-
-// Bounds-checked payload cursor (structural errors after the outer
-// checksum passed are InvalidArgument, not DataLoss).
-struct Reader {
-  const char* p;
-  size_t remaining;
-
-  Status Need(size_t bytes) {
-    if (remaining < bytes) {
-      return Status::InvalidArgument("net: truncated payload field");
-    }
-    return Status::OK();
-  }
-  Status U32(uint32_t* v) {
-    CSOD_RETURN_NOT_OK(Need(4));
-    *v = ReadU32(p);
-    p += 4;
-    remaining -= 4;
-    return Status::OK();
-  }
-  Status U64(uint64_t* v) {
-    CSOD_RETURN_NOT_OK(Need(8));
-    *v = ReadU64(p);
-    p += 8;
-    remaining -= 8;
-    return Status::OK();
-  }
-  Status F64(double* v) {
-    CSOD_RETURN_NOT_OK(Need(8));
-    *v = ReadF64(p);
-    p += 8;
-    remaining -= 8;
-    return Status::OK();
-  }
-  Status Str(std::string* out) {
-    uint32_t len = 0;
-    CSOD_RETURN_NOT_OK(U32(&len));
-    CSOD_RETURN_NOT_OK(Need(len));
-    out->assign(p, len);
-    p += len;
-    remaining -= len;
-    return Status::OK();
-  }
-};
-
 std::string TenantRequest(NetFrameKind kind, const std::string& tenant) {
   std::string payload;
-  AppendString(&payload, tenant);
+  AppendBytes(&payload, tenant);
   return dist::EncodeFrame(KindByte(kind), 0, payload);
 }
 
 std::string ErrorFrame(const Status& status) {
   std::string payload;
   AppendU32(&payload, static_cast<uint32_t>(status.code()));
-  AppendString(&payload, status.message());
+  AppendBytes(&payload, status.message());
   return dist::EncodeFrame(KindByte(NetFrameKind::kError), 0, payload);
 }
 
@@ -92,7 +42,7 @@ std::string PushbackFrame(uint64_t queued_bytes, uint64_t limit_bytes,
   std::string payload;
   AppendU64(&payload, queued_bytes);
   AppendU64(&payload, limit_bytes);
-  AppendString(&payload, message);
+  AppendBytes(&payload, message);
   return dist::EncodeFrame(KindByte(NetFrameKind::kPushback), 0, payload);
 }
 
@@ -106,11 +56,11 @@ std::string AckFrame(uint64_t value) {
 // produced. Any other kind returns OK (the caller proceeds to decode it).
 Status StatusOfResponse(const dist::FrameView& view) {
   if (view.kind == KindByte(NetFrameKind::kError)) {
-    Reader reader{view.payload, view.payload_size};
+    dist::PayloadReader reader(view);
     uint32_t code = 0;
     std::string message;
     CSOD_RETURN_NOT_OK(reader.U32(&code));
-    CSOD_RETURN_NOT_OK(reader.Str(&message));
+    CSOD_RETURN_NOT_OK(reader.Bytes(&message));
     if (code == 0 || code > static_cast<uint32_t>(StatusCode::kDataLoss)) {
       return Status::Internal("net: error frame with unknown status code " +
                               std::to_string(code));
@@ -118,12 +68,12 @@ Status StatusOfResponse(const dist::FrameView& view) {
     return Status(static_cast<StatusCode>(code), std::move(message));
   }
   if (view.kind == KindByte(NetFrameKind::kPushback)) {
-    Reader reader{view.payload, view.payload_size};
+    dist::PayloadReader reader(view);
     uint64_t queued = 0, limit = 0;
     std::string message;
     CSOD_RETURN_NOT_OK(reader.U64(&queued));
     CSOD_RETURN_NOT_OK(reader.U64(&limit));
-    CSOD_RETURN_NOT_OK(reader.Str(&message));
+    CSOD_RETURN_NOT_OK(reader.Bytes(&message));
     return Status::ResourceExhausted(
         message + " (queued " + std::to_string(queued) + " of " +
         std::to_string(limit) + " bytes)");
@@ -143,7 +93,7 @@ Status ExpectKind(const dist::FrameView& view, NetFrameKind kind) {
 
 Result<uint64_t> DecodeAck(const dist::FrameView& view) {
   CSOD_RETURN_NOT_OK(ExpectKind(view, NetFrameKind::kAck));
-  Reader reader{view.payload, view.payload_size};
+  dist::PayloadReader reader(view);
   uint64_t value = 0;
   CSOD_RETURN_NOT_OK(reader.U64(&value));
   return value;
@@ -157,11 +107,10 @@ std::string EncodeQueryResultResponse(const StreamingQueryResult& result) {
   AppendU64(&payload, result.snapshot_first_epoch);
   AppendU64(&payload, result.snapshot_last_epoch);
   AppendU64(&payload, result.staleness_epochs);
-  AppendU32(&payload, static_cast<uint32_t>(result.stalled_shards.size()));
-  for (uint32_t shard : result.stalled_shards) AppendU32(&payload, shard);
+  AppendU32List(&payload, result.stalled_shards);
   AppendU64(&payload, result.rows.size());
   for (const query::ResultRow& row : result.rows) {
-    AppendString(&payload, row.group_key);
+    AppendBytes(&payload, row.group_key);
     AppendF64(&payload, row.value);
     AppendF64(&payload, row.rank_score);
   }
@@ -172,7 +121,7 @@ std::string EncodeQueryResultResponse(const StreamingQueryResult& result) {
 Result<StreamingQueryResult> DecodeQueryResultResponse(
     const dist::FrameView& view) {
   CSOD_RETURN_NOT_OK(ExpectKind(view, NetFrameKind::kQueryResult));
-  Reader reader{view.payload, view.payload_size};
+  dist::PayloadReader reader(view);
   StreamingQueryResult result;
   CSOD_RETURN_NOT_OK(reader.F64(&result.mode));
   uint64_t u = 0;
@@ -182,31 +131,21 @@ Result<StreamingQueryResult> DecodeQueryResultResponse(
   CSOD_RETURN_NOT_OK(reader.U64(&result.snapshot_first_epoch));
   CSOD_RETURN_NOT_OK(reader.U64(&result.snapshot_last_epoch));
   CSOD_RETURN_NOT_OK(reader.U64(&result.staleness_epochs));
-  uint32_t num_stalled = 0;
-  CSOD_RETURN_NOT_OK(reader.U32(&num_stalled));
-  result.stalled_shards.reserve(num_stalled);
-  for (uint32_t i = 0; i < num_stalled; ++i) {
-    uint32_t shard = 0;
-    CSOD_RETURN_NOT_OK(reader.U32(&shard));
-    result.stalled_shards.push_back(shard);
-  }
+  CSOD_RETURN_NOT_OK(reader.U32List(&result.stalled_shards));
   uint64_t num_rows = 0;
-  CSOD_RETURN_NOT_OK(reader.U64(&num_rows));
+  // A row is at least a length-prefixed empty key and two doubles.
+  CSOD_RETURN_NOT_OK(reader.Count(&num_rows, 4 + 8 + 8));
   if (num_rows != view.count) {
     return Status::InvalidArgument(
         "net: row count disagrees with the frame envelope");
   }
-  result.rows.reserve(num_rows);
-  for (uint64_t i = 0; i < num_rows; ++i) {
-    query::ResultRow row;
-    CSOD_RETURN_NOT_OK(reader.Str(&row.group_key));
+  result.rows.resize(num_rows);
+  for (query::ResultRow& row : result.rows) {
+    CSOD_RETURN_NOT_OK(reader.Bytes(&row.group_key));
     CSOD_RETURN_NOT_OK(reader.F64(&row.value));
     CSOD_RETURN_NOT_OK(reader.F64(&row.rank_score));
-    result.rows.push_back(std::move(row));
   }
-  if (reader.remaining != 0) {
-    return Status::InvalidArgument("net: trailing query-result bytes");
-  }
+  CSOD_RETURN_NOT_OK(reader.ExpectEnd());
   return result;
 }
 
@@ -289,8 +228,8 @@ Result<std::string> EncodeIngestRequest(const std::string& tenant,
   // transmit — 32-bit key ids and finite values enforced at encode time.
   CSOD_ASSIGN_OR_RETURN(std::string kv, dist::EncodeKeyValues(events));
   std::string payload;
-  AppendString(&payload, tenant);
-  AppendString(&payload, kv);
+  AppendBytes(&payload, tenant);
+  AppendBytes(&payload, kv);
   return dist::EncodeFrame(KindByte(NetFrameKind::kIngestBatch), events.nnz(),
                            payload);
 }
@@ -301,7 +240,7 @@ Result<std::string> EncodeAdvanceRequest(const std::string& tenant,
     return Status::InvalidArgument("net: tenant name must be non-empty");
   }
   std::string payload;
-  AppendString(&payload, tenant);
+  AppendBytes(&payload, tenant);
   AppendU64(&payload, tick);
   return dist::EncodeFrame(KindByte(NetFrameKind::kAdvance), 0, payload);
 }
@@ -311,7 +250,7 @@ Result<std::string> EncodeQueryRequest(const std::string& query_text) {
     return Status::InvalidArgument("net: query text must be non-empty");
   }
   std::string payload;
-  AppendString(&payload, query_text);
+  AppendBytes(&payload, query_text);
   return dist::EncodeFrame(KindByte(NetFrameKind::kQuery), 0, payload);
 }
 
@@ -331,17 +270,7 @@ Result<std::string> EncodeCheckpointRequest(const std::string& tenant) {
 
 Result<std::string> EncodeSnapshotResponse(const SketchSnapshot& snapshot) {
   std::string payload;
-  AppendU64(&payload, snapshot.version);
-  AppendU64(&payload, snapshot.last_epoch);
-  AppendU64(&payload, snapshot.first_epoch);
-  AppendU64(&payload, snapshot.epochs_covered);
-  AppendU64(&payload, snapshot.events);
-  AppendU32(&payload, static_cast<uint32_t>(snapshot.stalled_shards.size()));
-  for (uint32_t shard : snapshot.stalled_shards) AppendU32(&payload, shard);
-  // The window measurement travels as an embedded measurement message with
-  // its own checksum — the same bytes a protocol node would transmit.
-  CSOD_ASSIGN_OR_RETURN(std::string y, dist::EncodeMeasurement(snapshot.y));
-  AppendString(&payload, y);
+  CSOD_RETURN_NOT_OK(AppendSnapshotSection(&payload, snapshot));
   return dist::EncodeFrame(KindByte(NetFrameKind::kSnapshot),
                            snapshot.y.size(), payload);
 }
@@ -349,33 +278,14 @@ Result<std::string> EncodeSnapshotResponse(const SketchSnapshot& snapshot) {
 Result<SketchSnapshot> DecodeSnapshotResponse(const std::string& frame) {
   CSOD_ASSIGN_OR_RETURN(dist::FrameView view, dist::DecodeFrame(frame));
   CSOD_RETURN_NOT_OK(ExpectKind(view, NetFrameKind::kSnapshot));
-  Reader reader{view.payload, view.payload_size};
+  dist::PayloadReader reader(view);
   SketchSnapshot snapshot;
-  CSOD_RETURN_NOT_OK(reader.U64(&snapshot.version));
-  CSOD_RETURN_NOT_OK(reader.U64(&snapshot.last_epoch));
-  CSOD_RETURN_NOT_OK(reader.U64(&snapshot.first_epoch));
-  uint64_t covered = 0;
-  CSOD_RETURN_NOT_OK(reader.U64(&covered));
-  snapshot.epochs_covered = static_cast<size_t>(covered);
-  CSOD_RETURN_NOT_OK(reader.U64(&snapshot.events));
-  uint32_t num_stalled = 0;
-  CSOD_RETURN_NOT_OK(reader.U32(&num_stalled));
-  snapshot.stalled_shards.reserve(num_stalled);
-  for (uint32_t i = 0; i < num_stalled; ++i) {
-    uint32_t shard = 0;
-    CSOD_RETURN_NOT_OK(reader.U32(&shard));
-    snapshot.stalled_shards.push_back(shard);
-  }
-  std::string y_message;
-  CSOD_RETURN_NOT_OK(reader.Str(&y_message));
-  CSOD_ASSIGN_OR_RETURN(snapshot.y, dist::DecodeMeasurement(y_message));
+  CSOD_RETURN_NOT_OK(ReadSnapshotSection(&reader, &snapshot));
   if (snapshot.y.size() != view.count) {
     return Status::InvalidArgument(
         "net: snapshot y length disagrees with the frame envelope");
   }
-  if (reader.remaining != 0) {
-    return Status::InvalidArgument("net: trailing snapshot bytes");
-  }
+  CSOD_RETURN_NOT_OK(reader.ExpectEnd());
   return snapshot;
 }
 
@@ -402,13 +312,13 @@ std::string NetServer::HandleFrame(const std::string& request) {
     return ErrorFrame(decoded.status());
   }
   const dist::FrameView& view = decoded.Value();
-  Reader reader{view.payload, view.payload_size};
+  dist::PayloadReader reader(view);
 
   switch (static_cast<NetFrameKind>(view.kind)) {
     case NetFrameKind::kIngestBatch: {
       std::string tenant, kv;
-      Status parsed = reader.Str(&tenant);
-      if (parsed.ok()) parsed = reader.Str(&kv);
+      Status parsed = reader.Bytes(&tenant);
+      if (parsed.ok()) parsed = reader.Bytes(&kv);
       if (!parsed.ok()) return ErrorFrame(parsed);
       Result<cs::SparseSlice> slice = dist::DecodeKeyValues(kv);
       if (!slice.ok()) return ErrorFrame(slice.status());
@@ -441,7 +351,7 @@ std::string NetServer::HandleFrame(const std::string& request) {
     case NetFrameKind::kAdvance: {
       std::string tenant;
       uint64_t tick = 0;
-      Status parsed = reader.Str(&tenant);
+      Status parsed = reader.Bytes(&tenant);
       if (parsed.ok()) parsed = reader.U64(&tick);
       if (!parsed.ok()) return ErrorFrame(parsed);
       Result<uint64_t> epoch = service_->AdvanceTo(tenant, tick);
@@ -450,7 +360,7 @@ std::string NetServer::HandleFrame(const std::string& request) {
     }
     case NetFrameKind::kQuery: {
       std::string text;
-      const Status parsed = reader.Str(&text);
+      const Status parsed = reader.Bytes(&text);
       if (!parsed.ok()) return ErrorFrame(parsed);
       Result<StreamingQueryResult> result = service_->Query(text);
       if (!result.ok()) return ErrorFrame(result.status());
@@ -458,7 +368,7 @@ std::string NetServer::HandleFrame(const std::string& request) {
     }
     case NetFrameKind::kSnapshotFetch: {
       std::string tenant;
-      const Status parsed = reader.Str(&tenant);
+      const Status parsed = reader.Bytes(&tenant);
       if (!parsed.ok()) return ErrorFrame(parsed);
       Result<std::shared_ptr<StreamingDetector>> detector =
           service_->Tenant(tenant);
@@ -475,7 +385,7 @@ std::string NetServer::HandleFrame(const std::string& request) {
     }
     case NetFrameKind::kCheckpointFetch: {
       std::string tenant;
-      const Status parsed = reader.Str(&tenant);
+      const Status parsed = reader.Bytes(&tenant);
       if (!parsed.ok()) return ErrorFrame(parsed);
       Result<std::shared_ptr<StreamingDetector>> detector =
           service_->Tenant(tenant);

@@ -1,11 +1,12 @@
 #include "core/detector.h"
 
 #include <cmath>
-#include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "dist/wire_format.h"
 #include "la/vector_ops.h"
 #include "outlier/metrics.h"
 #include "workload/generators.h"
@@ -48,6 +49,15 @@ TEST(DetectorTest, CreateValidatesOptions) {
   EXPECT_FALSE(DistributedOutlierDetector::Create(bad).ok());
   bad.m = 4;
   EXPECT_TRUE(DistributedOutlierDetector::Create(bad).ok());
+}
+
+// m·n·8 past size_t used to wrap to a zero-byte cache that the column
+// fill then wrote through.
+TEST(DetectorTest, CreateRejectsOverflowingDimensions) {
+  DetectorOptions huge = SmallOptions();
+  huge.m = uint64_t{1} << 62;
+  EXPECT_EQ(DistributedOutlierDetector::Create(huge).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(DetectorTest, DetectsPlantedOutliers) {
@@ -183,8 +193,9 @@ TEST(DetectorTest, SaveLoadRoundTrip) {
     ids.push_back(original->AddSource(slice).MoveValue());
   }
 
-  std::stringstream checkpoint;
-  ASSERT_TRUE(original->Save(checkpoint).ok());
+  const std::string checkpoint = original->Save().MoveValue();
+  EXPECT_EQ(dist::DecodeFrame(checkpoint).MoveValue().kind,
+            dist::kDetectorCheckpointFrameKind);
   auto restored = DistributedOutlierDetector::Load(checkpoint).MoveValue();
 
   EXPECT_EQ(restored->num_sources(), original->num_sources());
@@ -209,32 +220,69 @@ TEST(DetectorTest, SaveLoadRoundTrip) {
   EXPECT_EQ(restored->global_measurement(), original->global_measurement());
 }
 
+// Header of a detector-checkpoint payload: n, m, seed, iterations.
+std::string CheckpointHeader(uint64_t n, uint64_t m) {
+  std::string payload;
+  for (uint64_t v : {n, m, uint64_t{11}, uint64_t{24}}) {
+    dist::AppendU64(&payload, v);
+  }
+  return payload;
+}
+
 TEST(DetectorTest, LoadRejectsGarbage) {
-  std::stringstream not_a_checkpoint("hello world");
-  EXPECT_FALSE(DistributedOutlierDetector::Load(not_a_checkpoint).ok());
+  EXPECT_FALSE(DistributedOutlierDetector::Load("hello world").ok());
 
-  std::stringstream truncated("csod-detector v1\n500 180 11 24 3\n");
-  EXPECT_FALSE(DistributedOutlierDetector::Load(truncated).ok());
-
-  // A length far beyond the encoded size of an M-row measurement.
-  std::stringstream huge_length(
-      "csod-detector v1\n500 180 11 24 1\n0 4611686018427387904\n");
-  EXPECT_FALSE(DistributedOutlierDetector::Load(huge_length).ok());
-
-  // A valid one-source checkpoint whose source block appears twice.
+  // A valid one-source checkpoint, then torn: the frame checksum fails.
   auto detector = DistributedOutlierDetector::Create(SmallOptions()).MoveValue();
   ASSERT_TRUE(
       detector->AddSource(cs::SparseSlice::FromDense({3.0, 0.0, 7.0})).ok());
-  std::stringstream saved;
-  ASSERT_TRUE(detector->Save(saved).ok());
-  const std::string text = saved.str();
-  const size_t body = text.find('\n', text.find('\n') + 1) + 1;
-  std::string header = text.substr(0, body);
-  ASSERT_EQ(header[header.size() - 2], '1');
-  header[header.size() - 2] = '2';  // Source count 1 -> 2.
-  std::stringstream repeated_id(header + text.substr(body) +
-                                text.substr(body));
-  EXPECT_FALSE(DistributedOutlierDetector::Load(repeated_id).ok());
+  const std::string saved = detector->Save().MoveValue();
+  ASSERT_TRUE(DistributedOutlierDetector::Load(saved).ok());
+  EXPECT_EQ(DistributedOutlierDetector::Load(saved.substr(0, saved.size() / 2))
+                .status()
+                .code(),
+            StatusCode::kDataLoss);
+
+  // Truncated: the envelope claims three sources, the payload holds none.
+  const std::string truncated = dist::EncodeFrame(
+      dist::kDetectorCheckpointFrameKind, 3, CheckpointHeader(500, 180));
+  EXPECT_EQ(DistributedOutlierDetector::Load(truncated).status().code(),
+            StatusCode::kInvalidArgument);
+
+  // A length far beyond the bytes that follow it.
+  std::string lying = CheckpointHeader(500, 180);
+  dist::AppendU64(&lying, 0);
+  dist::AppendU32(&lying, UINT32_MAX);
+  EXPECT_EQ(DistributedOutlierDetector::Load(
+                dist::EncodeFrame(dist::kDetectorCheckpointFrameKind, 1, lying))
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+
+  // The same source block twice.
+  std::string source;
+  dist::AppendU64(&source, 0);
+  dist::AppendBytes(&source, dist::EncodeMeasurement(
+                                 detector->global_measurement())
+                                 .MoveValue());
+  const std::string repeated_id =
+      dist::EncodeFrame(dist::kDetectorCheckpointFrameKind, 2,
+                        CheckpointHeader(500, 180) + source + source);
+  EXPECT_EQ(DistributedOutlierDetector::Load(repeated_id).status().code(),
+            StatusCode::kInvalidArgument);
+
+  // Another frame kind is not a detector checkpoint.
+  EXPECT_FALSE(DistributedOutlierDetector::Load(
+                   dist::EncodeMeasurement({1.0}).MoveValue())
+                   .ok());
+}
+
+TEST(DetectorTest, LoadRejectsOverflowingDimensions) {
+  const std::string frame =
+      dist::EncodeFrame(dist::kDetectorCheckpointFrameKind, 0,
+                        CheckpointHeader(500, uint64_t{1} << 62));
+  EXPECT_EQ(DistributedOutlierDetector::Load(frame).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(DetectorTest, AccessorsExposeConfiguration) {

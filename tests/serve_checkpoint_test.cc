@@ -6,15 +6,18 @@
 
 #include <cstdint>
 #include <memory>
+#include <random>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "dist/wire_format.h"
 #include "serve/net.h"
 #include "serve/service.h"
 #include "serve/streaming_detector.h"
 #include "sim/buggify.h"
+#include "wire_mutant.h"
 
 namespace csod::serve {
 namespace {
@@ -225,6 +228,72 @@ TEST(CheckpointTest, BuggifyMidCheckpointCrashTearsDeterministically) {
   const std::string intact =
       EncodeCheckpoint(options, detector->CheckpointState()).MoveValue();
   EXPECT_TRUE(DecodeCheckpoint(intact).ok());
+}
+
+// A checksum-valid checkpoint carrying only the fixed header, with the
+// given geometry and retained-epoch count.
+std::string HeaderOnlyCheckpoint(uint64_t window_epochs, uint64_t num_shards,
+                                 uint64_t num_epochs) {
+  std::string payload;
+  for (uint64_t v : {uint64_t{400}, uint64_t{150}, uint64_t{5}, window_epochs,
+                     num_shards, uint64_t{1}}) {
+    dist::AppendU64(&payload, v);
+  }
+  for (int i = 0; i < 3; ++i) dist::AppendU8(&payload, 0);
+  for (int i = 0; i < 3; ++i) dist::AppendU64(&payload, 0);
+  dist::AppendU64(&payload, num_epochs);
+  return dist::EncodeFrame(kCheckpointFrameKind, num_epochs, payload);
+}
+
+// Counts that size the decoded state are checked against the bytes that
+// remain before anything is reserved: these used to abort the process.
+TEST(CheckpointTest, HugeShardCountIsRejected) {
+  const std::string frame = HeaderOnlyCheckpoint(3, uint64_t{1} << 62, 0);
+  ASSERT_EQ(frame.size(), 104u);
+  EXPECT_EQ(DecodeCheckpoint(frame).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(CheckpointTest, HugeWindowEpochsIsRejected) {
+  const std::string frame =
+      HeaderOnlyCheckpoint(uint64_t{1} << 62, 4, uint64_t{1} << 62);
+  EXPECT_EQ(DecodeCheckpoint(frame).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+// Seeded fuzz past the checksum over both decoders of the snapshot
+// section: resealed mutants of a real checkpoint and a real snapshot
+// response decode or fail with a Status, never abort.
+TEST(CheckpointTest, ResealedMutantsNeverAbortDecoders) {
+  const auto options = SmallOptions();
+  auto detector = BuildMidStream(options);
+  ASSERT_TRUE(detector->SetShardStalled(2, true).ok());
+  std::vector<size_t> keys;
+  std::vector<double> deltas;
+  SeededBatch(5, options.n, &keys, &deltas);
+  ASSERT_TRUE(detector->IngestBatch(keys, deltas).ok());
+  detector->AdvanceEpoch();
+  const std::string checkpoint =
+      EncodeCheckpoint(options, detector->CheckpointState()).MoveValue();
+  const std::string snapshot =
+      EncodeSnapshotResponse(*detector->Snapshot()).MoveValue();
+  ASSERT_TRUE(DecodeCheckpoint(checkpoint).ok());
+  ASSERT_TRUE(DecodeSnapshotResponse(snapshot).ok());
+
+  std::mt19937_64 rng(0xC4EC);
+  size_t decoded = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    if (DecodeCheckpoint(testing::ResealedMutant(checkpoint, &rng)).ok()) {
+      ++decoded;
+    }
+    if (DecodeSnapshotResponse(testing::ResealedMutant(snapshot, &rng)).ok()) {
+      ++decoded;
+    }
+  }
+  // Flips inside an embedded message fail its own checksum, and most
+  // other mutants are structurally refused; some (a flipped event count,
+  // a different seed) are legitimately decodable.
+  EXPECT_LT(decoded, 4000u);
 }
 
 TEST(CheckpointTest, GeometryMismatchIsRefused) {

@@ -11,10 +11,12 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/digest.h"
 #include "dist/comm.h"
 #include "dist/wire_format.h"
 #include "obs/telemetry.h"
@@ -131,6 +133,35 @@ TEST(NetServerTest, RejectsGarbageAndUnknownKinds) {
       small.HandleFrame(dist::EncodeFrame(17, 0, std::string(64, 'x')));
   EXPECT_EQ(dist::DecodeFrame(refused).MoveValue().kind,
             static_cast<uint8_t>(NetFrameKind::kError));
+}
+
+// A checksum-valid ingest request whose embedded key-value message claims
+// 2^62 events (12 · 2^62 wraps to its empty payload) gets an error frame
+// instead of aborting the server, and the server keeps serving.
+TEST(NetServerTest, WrappedIngestCountGetsErrorFrame) {
+  Rig rig;
+  ASSERT_TRUE(rig.client.AdvanceTo("t", 0).ok());
+  std::string payload;
+  dist::AppendBytes(&payload, "t");
+  dist::AppendBytes(&payload, dist::EncodeFrame(2, uint64_t{1} << 62, ""));
+  const std::string request = dist::EncodeFrame(
+      static_cast<uint8_t>(NetFrameKind::kIngestBatch), 0, payload);
+  ASSERT_EQ(request.size(), 51u);
+  const dist::FrameView refused =
+      dist::DecodeFrame(rig.server.HandleFrame(request)).MoveValue();
+  EXPECT_EQ(refused.kind, static_cast<uint8_t>(NetFrameKind::kError));
+
+  std::vector<size_t> keys;
+  std::vector<double> deltas;
+  SeededBatch(3, 400, &keys, &deltas);
+  cs::SparseSlice batch;
+  batch.indices = keys;
+  batch.values = deltas;
+  const dist::FrameView acked =
+      dist::DecodeFrame(rig.server.HandleFrame(
+                            EncodeIngestRequest("t", batch).MoveValue()))
+          .MoveValue();
+  EXPECT_EQ(acked.kind, static_cast<uint8_t>(NetFrameKind::kAck));
 }
 
 // The tentpole exactness gate: every answer served over the wire is
@@ -420,6 +451,73 @@ TEST(SnapshotFollowerTest, ApplyIsMonotoneAndValidates) {
   EXPECT_EQ(follower->ApplySnapshot(bad).code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(follower->Snapshot()->version, 2u);
+}
+
+// Byte-layout pin: a fixed instance of every request kind (16–20), every
+// response kind (32–36) and a kind-24 checkpoint, each hashed with FNV-1a.
+// The recorded digests are the layout; any drift in a payload field, its
+// width or its order fails here by name.
+TEST(NetCodecTest, GoldenFrameDigestsArePinned) {
+  Rig rig;
+  std::vector<size_t> keys;
+  std::vector<double> deltas;
+  cs::SparseSlice batch;
+  SeededBatch(17, 400, &batch.indices, &batch.values);
+
+  std::vector<std::pair<std::string, std::string>> frames;
+  auto add = [&frames](const std::string& name, std::string frame) {
+    frames.emplace_back(name, std::move(frame));
+  };
+  const std::string advance0 = EncodeAdvanceRequest("t", 0).MoveValue();
+  const std::string ingest = EncodeIngestRequest("t", batch).MoveValue();
+  add("ack-advance", rig.server.HandleFrame(advance0));
+  add("ack-ingest", rig.server.HandleFrame(ingest));
+  ASSERT_TRUE(rig.tenant()->SetShardStalled(1, true).ok());
+  SeededBatch(18, 400, &keys, &deltas);
+  ASSERT_TRUE(rig.client.Ingest("t", keys, deltas).ok());
+  const std::string advance1 = EncodeAdvanceRequest("t", 1).MoveValue();
+  ASSERT_EQ(dist::DecodeFrame(rig.server.HandleFrame(advance1))
+                .MoveValue()
+                .kind,
+            static_cast<uint8_t>(NetFrameKind::kAck));
+  const std::string query =
+      EncodeQueryRequest("SELECT Outlier 3 SUM(score), key FROM t GROUP BY key")
+          .MoveValue();
+  const std::string snapshot = EncodeSnapshotRequest("t").MoveValue();
+  const std::string checkpoint = EncodeCheckpointRequest("t").MoveValue();
+  add("query-result", rig.server.HandleFrame(query));
+  add("snapshot", rig.server.HandleFrame(snapshot));
+  add("checkpoint", rig.server.HandleFrame(checkpoint));
+  add("error", rig.server.HandleFrame(dist::EncodeFrame(99, 0, "")));
+  NetServerOptions tight;
+  tight.max_tenant_backlog_bytes = dist::kKeyValueBytes;
+  NetServer refusing(&rig.service, tight);
+  add("pushback", refusing.HandleFrame(ingest));
+  add("req-ingest", ingest);
+  add("req-advance", advance1);
+  add("req-query", query);
+  add("req-snapshot", snapshot);
+  add("req-checkpoint", checkpoint);
+
+  const std::vector<std::pair<uint8_t, uint64_t>> want = {
+      {32, 0xbf004028eed234c2ULL}, {32, 0xece206cfbe86312dULL},
+      {33, 0x8353f092064ce1abULL}, {34, 0xe427503de7814425ULL},
+      {24, 0xf9baa110c3c46c82ULL}, {35, 0x4c77933a0d63ef77ULL},
+      {36, 0x72632feaef80b80eULL}, {16, 0x46671c4c424bca3aULL},
+      {17, 0xd757344b33aee50dULL}, {18, 0x5b1df88e7ce52220ULL},
+      {19, 0x6f27280ac7f7cff2ULL}, {20, 0x3563eb3d5effcaf5ULL},
+  };
+  ASSERT_EQ(frames.size(), want.size());
+  for (size_t i = 0; i < frames.size(); ++i) {
+    const auto& [name, frame] = frames[i];
+    Fnv1a digest;
+    digest.AddString(frame);
+    EXPECT_EQ(dist::DecodeFrame(frame).MoveValue().kind, want[i].first)
+        << name;
+    EXPECT_EQ(digest.hash(), want[i].second)
+        << name << " (" << frame.size() << " bytes) digest 0x" << std::hex
+        << digest.hash();
+  }
 }
 
 }  // namespace

@@ -28,6 +28,7 @@
 #include "obs/telemetry.h"
 #include "workload/generators.h"
 #include "workload/partitioner.h"
+#include "wire_mutant.h"
 
 namespace csod::dist {
 namespace {
@@ -187,6 +188,64 @@ TEST(WirePropertyTest, RandomCorruptionNeverDecodesSilently) {
     if (decoded.ok()) {
       // Only acceptable if the flip somehow reproduced the original.
       EXPECT_EQ(bad, good);
+    }
+  }
+}
+
+// Checksum-valid envelopes whose count times the element size wraps
+// size_t to exactly the payload length: the count must be checked by
+// division before anything is sized from it, or these allocate 2^61+
+// elements and abort.
+TEST(WirePropertyTest, WrappedMeasurementCountIsRejected) {
+  const std::string wrapped = EncodeFrame(1, uint64_t{1} << 61, "");
+  ASSERT_EQ(wrapped.size(), 21u);
+  EXPECT_EQ(DecodeMeasurement(wrapped).status().code(),
+            StatusCode::kInvalidArgument);
+  // 8 · (2^61 + 1) wraps to the 8 payload bytes actually present.
+  const std::string one_over =
+      EncodeFrame(1, (uint64_t{1} << 61) + 1, std::string(8, '\0'));
+  EXPECT_EQ(DecodeMeasurement(one_over).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(WirePropertyTest, WrappedKeyValueCountIsRejected) {
+  // 12 · 2^62 = 3 · 2^64 wraps to 0.
+  const std::string wrapped = EncodeFrame(2, uint64_t{1} << 62, "");
+  EXPECT_EQ(DecodeKeyValues(wrapped).status().code(),
+            StatusCode::kInvalidArgument);
+  // The payload reader applies the same rule to counts read in-band.
+  std::string payload;
+  AppendU64(&payload, uint64_t{1} << 62);
+  PayloadReader reader(payload.data(), payload.size());
+  uint64_t count = 0;
+  EXPECT_EQ(reader.Count(&count, 12).code(), StatusCode::kInvalidArgument);
+}
+
+// Seeded fuzz past the checksum: mutants of valid messages, resealed so
+// they reach the payload decoder, are accepted only when self-consistent
+// and otherwise refused with a Status — never an abort.
+TEST(WirePropertyTest, ResealedMutantsNeverAbortDecoders) {
+  DoubleFuzzer fuzz(0x5EA1u);
+  std::vector<double> y(12);
+  for (double& v : y) v = fuzz.Next();
+  cs::SparseSlice slice;
+  for (uint32_t i = 0; i < 9; ++i) {
+    slice.indices.push_back(i * 977);
+    slice.values.push_back(fuzz.Next());
+  }
+  const std::string measurement = EncodeMeasurement(y).MoveValue();
+  const std::string kv = EncodeKeyValues(slice).MoveValue();
+  for (int trial = 0; trial < 2000; ++trial) {
+    const std::string mutant =
+        testing::ResealedMutant(trial % 2 == 0 ? measurement : kv, &fuzz.rng());
+    const FrameView view = DecodeFrame(mutant).MoveValue();
+    const Result<std::vector<double>> m = DecodeMeasurement(mutant);
+    if (m.ok()) {
+      EXPECT_EQ(m.Value().size() * 8, view.payload_size);
+    }
+    const Result<cs::SparseSlice> s = DecodeKeyValues(mutant);
+    if (s.ok()) {
+      EXPECT_EQ(s.Value().nnz() * 12, view.payload_size);
     }
   }
 }

@@ -8,6 +8,10 @@
 //   --list           print the scenario each seed derives to, without
 //                    running anything
 //
+// --replay and --corpus print, under each digest, the Buggify sections the
+// scenario activated and those that fired (with fire counts), so a corpus
+// comment naming a section can be checked against the run.
+//
 // Exit status is nonzero iff any scenario violated an invariant, so the
 // driver can gate CI directly. Every failure line is followed by a
 // one-line replay recipe (`csod sim --replay SEED`).
@@ -17,12 +21,31 @@
 #include <vector>
 
 #include "common/flags.h"
+#include "sim/buggify.h"
 #include "sim/runner.h"
 #include "sim/scenario.h"
 
 namespace {
 
 using namespace csod;
+
+// "buggify: off", or the sections the last run of `seed` hit while
+// activated and the ones that fired. Sections with no hits were
+// registered by an earlier scenario in this process and are skipped.
+std::string BuggifyLine(uint64_t seed) {
+  if (!sim::ScenarioFromSeed(seed).buggify) return "buggify: off";
+  std::string activated, fired;
+  for (const sim::BuggifySectionReport& section : sim::BuggifyReport()) {
+    if (section.hits == 0 || !section.activated) continue;
+    activated += (activated.empty() ? "" : ",") + section.name;
+    if (section.fires > 0) {
+      fired += (fired.empty() ? "" : ",") + section.name + "*" +
+               std::to_string(section.fires);
+    }
+  }
+  return "buggify: activated=" + (activated.empty() ? "-" : activated) +
+         " fired=" + (fired.empty() ? "-" : fired);
+}
 
 int ReplayOne(uint64_t seed) {
   std::string line;
@@ -32,6 +55,7 @@ int ReplayOne(uint64_t seed) {
   std::printf("digest=%016llx %s\n",
               static_cast<unsigned long long>(outcome.digest),
               outcome.ok() ? "ok" : "FAIL");
+  std::printf("  %s\n", BuggifyLine(seed).c_str());
   for (const std::string& violation : outcome.violations) {
     std::printf("  violation: %s\n", violation.c_str());
   }
@@ -53,6 +77,7 @@ int RunCorpus(const std::string& path) {
                 static_cast<unsigned long long>(seed),
                 static_cast<unsigned long long>(outcome.digest),
                 outcome.ok() ? "ok " : "FAIL", line.c_str());
+    std::printf("  %s\n", BuggifyLine(seed).c_str());
     if (!outcome.ok()) {
       ++failed;
       for (const std::string& violation : outcome.violations) {
