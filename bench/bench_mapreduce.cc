@@ -12,13 +12,13 @@
 //
 // The digest must be identical at every thread limit (the engine's
 // bit-determinism contract) — the binary exits nonzero otherwise, and
-// scripts/run_bench_mapreduce.sh runs the whole bench twice and diffs the
+// `scripts/run_bench.py mapreduce` runs the whole bench twice and diffs the
 // digest/bit_identical lines of the two JSON files.
 //
 // Speedups are wall-clock on *this* machine: on a multi-core box the map
 // phase at 8 threads should sit >= 3x over the 1-thread engine; on a
 // 1-core container the speedup degenerates to ~1x while the digests still
-// pin determinism. scripts/run_bench_mapreduce.sh turns the reported
+// pin determinism. `scripts/run_bench.py mapreduce` turns the reported
 // map_wall_speedup into a core-count-aware pass/fail gate.
 //
 // The default (non-quick) config is sized so the 1-thread traditional map

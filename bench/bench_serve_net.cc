@@ -20,7 +20,7 @@
 //
 //  (c) Throughput: the stream is replayed again through frames (best of
 //      --trials) and sustained framed key-updates/sec reported.
-//      scripts/run_bench_serve_net.sh turns this into a core-count-aware
+//      `scripts/run_bench.py serve_net` turns this into a core-count-aware
 //      gate (>= 100k/s on an 8-core box) and re-runs the whole binary to
 //      diff the digest lines across runs.
 //

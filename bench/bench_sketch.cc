@@ -22,7 +22,7 @@
 // kernels are element-wise, so SIMD never reassociates sums); the binary
 // asserts this and emits an FNV-1a digest of y. Timings vary run to run,
 // but the digest/bit-identity lines are deterministic —
-// scripts/run_bench_kernels.sh runs the bench twice and diffs exactly
+// `scripts/run_bench.py sketch` runs the bench twice and diffs exactly
 // those lines.
 //
 // Flags: --l --m --n --nnz --hot --trials --seed --out --quick

@@ -19,7 +19,7 @@
 //      the maximum snapshot age any query observed, which the bounded-
 //      staleness contract caps at 1 epoch (reading the epoch counter
 //      before grabbing the snapshot makes the racy measurement safe).
-//      scripts/run_bench_streaming.sh turns updates/sec into a
+//      `scripts/run_bench.py streaming` turns updates/sec into a
 //      core-count-aware gate (>= 100k/s on an 8-core box).
 //
 //  (c) Telemetry overhead: the ingest+advance loop timed with a live

@@ -13,7 +13,7 @@
 //
 // Emits BENCH_faults.json (deterministic: no timestamps, every fault seed
 // derived arithmetically from --seed; two runs with equal flags produce
-// byte-identical files — scripts/run_bench_faults.sh diffs them).
+// byte-identical files — `scripts/run_bench.py faults` diffs them).
 //
 // --telemetry-json=FILE additionally attaches one obs::Telemetry sink to
 // every protocol run and writes its deterministic snapshot; the JSON's

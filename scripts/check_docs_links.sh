@@ -15,7 +15,8 @@
 #     extensionless mentions tried as .h/.cc — so prose can't keep
 #     pointing at renamed modules.
 #
-# Checks README.md, DESIGN.md, EXPERIMENTS.md, ROADMAP.md and docs/*.md.
+# Checks README.md, DESIGN.md, EXPERIMENTS.md, ROADMAP.md, docs/*.md and
+# .claude/skills/*/SKILL.md.
 # http(s) URLs are skipped. File targets resolve relative to the
 # referencing file's directory, then the repo root.
 #
@@ -26,7 +27,8 @@ ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 cd "$ROOT"
 
 FILES=()
-for f in README.md DESIGN.md EXPERIMENTS.md ROADMAP.md docs/*.md; do
+for f in README.md DESIGN.md EXPERIMENTS.md ROADMAP.md docs/*.md \
+         .claude/skills/*/SKILL.md; do
   [[ -f "$f" ]] && FILES+=("$f")
 done
 

@@ -39,7 +39,6 @@
 #include "outlier/answer.h"
 #include "outlier/metrics.h"
 #include "outlier/outlier.h"
-#include "sketch/count_min.h"
 #include "sketch/count_sketch.h"
 #include "sketch/hyperloglog.h"
 #include "sketch/sketch_protocols.h"

@@ -28,6 +28,14 @@ DistributedOutlierDetector::Create(const DetectorOptions& options) {
   if (options.m == 0) {
     return Status::InvalidArgument("DetectorOptions.m must be > 0");
   }
+  // M <= N is the paper's regime (M = O(s^a log N) measurements of an
+  // N-key aggregate); it also bounds the O(M) global measurement a
+  // sourceless checkpoint would otherwise allocate from a lying header.
+  if (options.m > options.n) {
+    return Status::InvalidArgument(
+        "DetectorOptions: m must be <= n (m=" + std::to_string(options.m) +
+        ", n=" + std::to_string(options.n) + ")");
+  }
   if (options.m > SIZE_MAX / sizeof(double) / options.n) {
     return Status::InvalidArgument(
         "DetectorOptions: m*n*8 bytes overflows size_t (m=" +

@@ -59,8 +59,8 @@ using SourceId = uint64_t;
 /// key space except recovery itself.
 class DistributedOutlierDetector {
  public:
-  /// Validates options (n, m > 0 and m·n·8 fits size_t) and builds the
-  /// shared measurement matrix.
+  /// Validates options (n, m > 0, m <= n and m·n·8 fits size_t) and
+  /// builds the shared measurement matrix.
   static Result<std::unique_ptr<DistributedOutlierDetector>> Create(
       const DetectorOptions& options);
 

@@ -48,7 +48,7 @@ uint64_t Checksum(const char* data, size_t size) {
 // build through these, so the envelope is written in one place.
 std::string BeginFrame(uint8_t kind, uint64_t count, size_t payload_size) {
   std::string out;
-  out.reserve(FrameWireSize(payload_size));
+  out.reserve(kHeaderSize + payload_size + kChecksumSize);
   AppendU32(&out, kMagic);
   AppendU8(&out, kind);
   AppendU64(&out, count);
@@ -208,10 +208,6 @@ std::string EncodeFrame(uint8_t kind, uint64_t count,
 
 Result<FrameView> DecodeFrame(const std::string& bytes) {
   return ParseFrame(bytes, StatusCode::kDataLoss);
-}
-
-size_t FrameWireSize(size_t payload_size) {
-  return kHeaderSize + payload_size + kChecksumSize;
 }
 
 Result<std::string> EncodeMeasurement(const std::vector<double>& y) {

@@ -74,9 +74,6 @@ std::string EncodeFrame(uint8_t kind, uint64_t count, std::string_view payload);
 /// torn-frame case.
 Result<FrameView> DecodeFrame(const std::string& bytes);
 
-/// Exact on-wire size of a frame with a payload of `payload_size` bytes.
-size_t FrameWireSize(size_t payload_size);
-
 /// Little-endian appenders for composing frame payloads.
 void AppendU8(std::string* out, uint8_t v);
 void AppendU32(std::string* out, uint32_t v);

@@ -107,36 +107,6 @@ Result<TopKJobResult> RunTraditionalTopKJob(
   return result;
 }
 
-Result<OutlierJobResult> RunTraditionalOutlierJob(
-    const std::vector<std::vector<ScoreEvent>>& splits, size_t n, size_t k,
-    obs::Telemetry* telemetry) {
-  Job<ScoreEvent, uint64_t, double, outlier::Outlier> job;
-  job.map_fn = TraditionalMap;
-  job.combine_fn = SumCombiner;
-  job.fixed_tuple_bytes = dist::kKeyValueBytes;
-  job.telemetry = telemetry;
-  double mode = 0.0;
-  job.task_reduce_fn = [n, k, &mode](ReduceGroups<uint64_t, double>& groups,
-                                     std::vector<outlier::Outlier>* out) {
-    std::vector<double> x(n, 0.0);
-    for (size_t g = 0; g < groups.size(); ++g) {
-      const uint64_t key = groups.key(g);
-      if (key >= n) continue;
-      for (double v : groups.values(g)) x[key] += v;
-    }
-    outlier::OutlierSet set = outlier::ExactKOutliers(x, k);
-    mode = set.mode;
-    for (auto& o : set.outliers) out->push_back(o);
-  };
-
-  CSOD_ASSIGN_OR_RETURN(auto run, RunJob(splits, job));
-  OutlierJobResult result;
-  result.outliers.outliers = std::move(run.output);
-  result.outliers.mode = mode;
-  result.stats = run.stats;
-  return result;
-}
-
 Result<CsJobResult> RunCsOutlierJob(
     const std::vector<std::vector<ScoreEvent>>& splits,
     const CsJobOptions& options) {

@@ -49,19 +49,6 @@ Result<TopKJobResult> RunTraditionalTopKJob(
     const std::vector<std::vector<ScoreEvent>>& splits, size_t k,
     bool combine = true, obs::Telemetry* telemetry = nullptr);
 
-/// Result of the traditional exact-outlier job.
-struct OutlierJobResult {
-  outlier::OutlierSet outliers;
-  JobStats stats;
-};
-
-/// Exact k-outlier job with full shuffling: same wire format as the
-/// traditional top-k job, but the reducer computes the mode and the
-/// k-outliers over the dense aggregate (key space size `n`).
-Result<OutlierJobResult> RunTraditionalOutlierJob(
-    const std::vector<std::vector<ScoreEvent>>& splits, size_t n, size_t k,
-    obs::Telemetry* telemetry = nullptr);
-
 /// Configuration of the CS-based MapReduce job (Algorithms 3 and 4).
 struct CsJobOptions {
   size_t n = 0;           ///< Global key-list length N.

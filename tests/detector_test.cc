@@ -47,6 +47,8 @@ TEST(DetectorTest, CreateValidatesOptions) {
   EXPECT_FALSE(DistributedOutlierDetector::Create(bad).ok());
   bad.n = 10;
   EXPECT_FALSE(DistributedOutlierDetector::Create(bad).ok());
+  bad.m = 11;  // M <= N is the paper's regime.
+  EXPECT_FALSE(DistributedOutlierDetector::Create(bad).ok());
   bad.m = 4;
   EXPECT_TRUE(DistributedOutlierDetector::Create(bad).ok());
 }
@@ -55,7 +57,8 @@ TEST(DetectorTest, CreateValidatesOptions) {
 // fill then wrote through.
 TEST(DetectorTest, CreateRejectsOverflowingDimensions) {
   DetectorOptions huge = SmallOptions();
-  huge.m = uint64_t{1} << 62;
+  huge.n = uint64_t{1} << 40;
+  huge.m = uint64_t{1} << 40;
   EXPECT_EQ(DistributedOutlierDetector::Create(huge).status().code(),
             StatusCode::kInvalidArgument);
 }
@@ -278,10 +281,18 @@ TEST(DetectorTest, LoadRejectsGarbage) {
 }
 
 TEST(DetectorTest, LoadRejectsOverflowingDimensions) {
-  const std::string frame =
-      dist::EncodeFrame(dist::kDetectorCheckpointFrameKind, 0,
-                        CheckpointHeader(500, uint64_t{1} << 62));
+  const std::string frame = dist::EncodeFrame(
+      dist::kDetectorCheckpointFrameKind, 0,
+      CheckpointHeader(uint64_t{1} << 40, uint64_t{1} << 40));
   EXPECT_EQ(DistributedOutlierDetector::Load(frame).status().code(),
+            StatusCode::kInvalidArgument);
+
+  // m·n·8 fits size_t, but m > n: a sourceless frame must not size the
+  // global measurement from its header.
+  const std::string wide =
+      dist::EncodeFrame(dist::kDetectorCheckpointFrameKind, 0,
+                        CheckpointHeader(1, uint64_t{1} << 60));
+  EXPECT_EQ(DistributedOutlierDetector::Load(wide).status().code(),
             StatusCode::kInvalidArgument);
 }
 

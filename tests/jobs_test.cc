@@ -91,16 +91,6 @@ TEST(TraditionalTopKJobTest, ShuffleBytesScaleWithDistinctKeys) {
   EXPECT_EQ(result.Value().stats.shuffle_bytes, expected);
 }
 
-TEST(TraditionalOutlierJobTest, MatchesCentralizedOutliers) {
-  JobSetup setup = MakeSetup(400, 15, 5, 2, 13);
-  const size_t k = 5;
-  auto result = RunTraditionalOutlierJob(setup.splits, 400, k);
-  ASSERT_TRUE(result.ok());
-  auto truth = outlier::ExactKOutliers(setup.global, k);
-  EXPECT_DOUBLE_EQ(outlier::ErrorOnKey(truth, result.Value().outliers), 0.0);
-  EXPECT_EQ(result.Value().outliers.mode, truth.mode);
-}
-
 TEST(CsOutlierJobTest, RecoversOutliersWithSmallShuffle) {
   JobSetup setup = MakeSetup(800, 15, 6, 2, 21);
   CsJobOptions options;

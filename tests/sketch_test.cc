@@ -7,7 +7,6 @@
 #include "common/random.h"
 #include "dist/cs_protocol.h"
 #include "outlier/metrics.h"
-#include "sketch/count_min.h"
 #include "sketch/count_sketch.h"
 #include "sketch/hyperloglog.h"
 #include "sketch/sketch_protocols.h"
@@ -16,60 +15,6 @@
 
 namespace csod::sketch {
 namespace {
-
-TEST(CountMinTest, CreateValidates) {
-  EXPECT_FALSE(CountMinSketch::Create(0, 3, 1).ok());
-  EXPECT_FALSE(CountMinSketch::Create(16, 0, 1).ok());
-  EXPECT_TRUE(CountMinSketch::Create(16, 3, 1).ok());
-}
-
-TEST(CountMinTest, NeverUnderestimatesNonNegative) {
-  auto sketch = CountMinSketch::Create(64, 4, 7).MoveValue();
-  Rng rng(3);
-  std::vector<double> truth(500, 0.0);
-  for (int i = 0; i < 2000; ++i) {
-    const uint64_t key = rng.NextBounded(500);
-    const double delta = rng.NextDouble() * 10.0;
-    sketch.Update(key, delta);
-    truth[key] += delta;
-  }
-  for (uint64_t key = 0; key < 500; ++key) {
-    EXPECT_GE(sketch.Estimate(key), truth[key] - 1e-9) << "key " << key;
-  }
-}
-
-TEST(CountMinTest, ExactWhenNoCollisions) {
-  auto sketch = CountMinSketch::Create(4096, 4, 7).MoveValue();
-  sketch.Update(5, 10.0);
-  sketch.Update(9, 3.0);
-  EXPECT_DOUBLE_EQ(sketch.Estimate(5), 10.0);
-  EXPECT_DOUBLE_EQ(sketch.Estimate(9), 3.0);
-  EXPECT_DOUBLE_EQ(sketch.Estimate(123), 0.0);
-}
-
-TEST(CountMinTest, MergeEqualsCombinedStream) {
-  auto a = CountMinSketch::Create(128, 3, 5).MoveValue();
-  auto b = CountMinSketch::Create(128, 3, 5).MoveValue();
-  auto combined = CountMinSketch::Create(128, 3, 5).MoveValue();
-  for (uint64_t k = 0; k < 50; ++k) {
-    a.Update(k, 1.0);
-    combined.Update(k, 1.0);
-    b.Update(k * 3, 2.0);
-    combined.Update(k * 3, 2.0);
-  }
-  ASSERT_TRUE(a.Merge(b).ok());
-  for (uint64_t k = 0; k < 150; ++k) {
-    EXPECT_DOUBLE_EQ(a.Estimate(k), combined.Estimate(k)) << "key " << k;
-  }
-}
-
-TEST(CountMinTest, MergeRejectsIncompatible) {
-  auto a = CountMinSketch::Create(128, 3, 5).MoveValue();
-  auto b = CountMinSketch::Create(64, 3, 5).MoveValue();
-  auto c = CountMinSketch::Create(128, 3, 6).MoveValue();
-  EXPECT_FALSE(a.Merge(b).ok());
-  EXPECT_FALSE(a.Merge(c).ok());
-}
 
 TEST(CountSketchTest, UnbiasedOnSignedData) {
   // Mean estimate over many independent sketches approaches the truth.
