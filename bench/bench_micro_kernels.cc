@@ -22,7 +22,6 @@
 #include "la/incremental_qr.h"
 #include "sim/buggify.h"
 #include "sketch/count_sketch.h"
-#include "sketch/hyperloglog.h"
 #include "workload/generators.h"
 
 namespace {
@@ -40,7 +39,8 @@ BENCHMARK(BM_CounterGaussian);
 
 void BM_ColumnGeneration(benchmark::State& state) {
   const size_t m = static_cast<size_t>(state.range(0));
-  cs::MeasurementMatrix matrix(m, 1024, 7, /*cache_budget_bytes=*/0);
+  cs::MeasurementMatrix matrix(m, 1024, 7, /*cache_budget_bytes=*/0,
+                               cs::MatrixKind::kGaussian);
   std::vector<double> col(m);
   size_t j = 0;
   for (auto _ : state) {
@@ -51,10 +51,12 @@ void BM_ColumnGeneration(benchmark::State& state) {
 }
 BENCHMARK(BM_ColumnGeneration)->Arg(64)->Arg(256)->Arg(1024);
 
-void BM_CompressSparseSlice(benchmark::State& state) {
+// One node's slice sketched against an implicit Gaussian (`BM_...`) or a
+// packed sign (`BM_...Sign`) matrix.
+void CompressSparseSlice(benchmark::State& state, cs::MatrixKind kind) {
   const size_t m = static_cast<size_t>(state.range(0));
   const size_t nnz = static_cast<size_t>(state.range(1));
-  cs::MeasurementMatrix matrix(m, 100000, 3, /*cache_budget_bytes=*/0);
+  cs::MeasurementMatrix matrix(m, 100000, 3, /*cache_budget_bytes=*/0, kind);
   cs::SparseSlice slice;
   Rng rng(5);
   for (size_t i = 0; i < nnz; ++i) {
@@ -67,12 +69,47 @@ void BM_CompressSparseSlice(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * m * nnz);
 }
+void BM_CompressSparseSlice(benchmark::State& state) {
+  CompressSparseSlice(state, cs::MatrixKind::kGaussian);
+}
+void BM_CompressSparseSliceSign(benchmark::State& state) {
+  CompressSparseSlice(state, cs::MatrixKind::kSign);
+}
 BENCHMARK(BM_CompressSparseSlice)->Args({100, 1000})->Args({400, 1000});
+BENCHMARK(BM_CompressSparseSliceSign)->Args({100, 1000})->Args({400, 1000});
 
-void BM_CorrelateCached(benchmark::State& state) {
+// Building Φ0 at the batch-protocol shape (M = 700, N = 20k): the dense
+// Gaussian cache (112 MB of Box–Muller draws) against the packed sign
+// matrix (1.76 MB of SplitMix64 words).
+void MatrixBuild(benchmark::State& state, cs::MatrixKind kind) {
   const size_t m = static_cast<size_t>(state.range(0));
   const size_t n = static_cast<size_t>(state.range(1));
-  cs::MeasurementMatrix matrix(m, n, 9);
+  for (auto _ : state) {
+    cs::MeasurementMatrix matrix(m, n, 9,
+                                 cs::MeasurementMatrix::kDefaultCacheBudgetBytes,
+                                 kind);
+    benchmark::DoNotOptimize(matrix.cached());
+  }
+  state.SetItemsProcessed(state.iterations() * m * n);
+}
+void BM_MatrixBuildGaussian(benchmark::State& state) {
+  MatrixBuild(state, cs::MatrixKind::kGaussian);
+}
+void BM_MatrixBuildSign(benchmark::State& state) {
+  MatrixBuild(state, cs::MatrixKind::kSign);
+}
+BENCHMARK(BM_MatrixBuildGaussian)
+    ->Args({700, 20000})
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MatrixBuildSign)->Args({700, 20000})->Unit(benchmark::kMillisecond);
+
+// CorrelateAll over a Gaussian matrix cached within `budget` (implicit
+// when 0) or a packed sign matrix.
+void CorrelateAll(benchmark::State& state, size_t budget,
+                  cs::MatrixKind kind) {
+  const size_t m = static_cast<size_t>(state.range(0));
+  const size_t n = static_cast<size_t>(state.range(1));
+  cs::MeasurementMatrix matrix(m, n, 9, budget, kind);
   std::vector<double> r(m);
   Rng rng(2);
   for (double& v : r) v = rng.NextGaussian();
@@ -81,23 +118,20 @@ void BM_CorrelateCached(benchmark::State& state) {
     benchmark::DoNotOptimize(c);
   }
   state.SetItemsProcessed(state.iterations() * m * n);
+}
+void BM_CorrelateCached(benchmark::State& state) {
+  CorrelateAll(state, cs::MeasurementMatrix::kDefaultCacheBudgetBytes,
+               cs::MatrixKind::kGaussian);
+}
+void BM_CorrelateImplicit(benchmark::State& state) {
+  CorrelateAll(state, 0, cs::MatrixKind::kGaussian);
+}
+void BM_CorrelateSign(benchmark::State& state) {
+  CorrelateAll(state, 0, cs::MatrixKind::kSign);
 }
 BENCHMARK(BM_CorrelateCached)->Args({200, 10000})->Args({400, 20000});
-
-void BM_CorrelateImplicit(benchmark::State& state) {
-  const size_t m = static_cast<size_t>(state.range(0));
-  const size_t n = static_cast<size_t>(state.range(1));
-  cs::MeasurementMatrix matrix(m, n, 9, /*cache_budget_bytes=*/0);
-  std::vector<double> r(m);
-  Rng rng(2);
-  for (double& v : r) v = rng.NextGaussian();
-  for (auto _ : state) {
-    auto c = matrix.CorrelateAll(r);
-    benchmark::DoNotOptimize(c);
-  }
-  state.SetItemsProcessed(state.iterations() * m * n);
-}
 BENCHMARK(BM_CorrelateImplicit)->Args({200, 10000});
+BENCHMARK(BM_CorrelateSign)->Args({400, 20000})->Args({700, 20000});
 
 void BM_QrAppendColumn(benchmark::State& state) {
   const size_t m = static_cast<size_t>(state.range(0));
@@ -197,12 +231,14 @@ void BM_SpawnJoinOverhead(benchmark::State& state) {
 }
 BENCHMARK(BM_SpawnJoinOverhead);
 
-void BM_CorrelateArgmax(benchmark::State& state) {
-  // The fused OMP statement-4 kernel at paper scale: M=512, N=100k, cached
-  // (409.6 MB, inside the default 512 MB budget).
+// The fused OMP statement-4 kernel at paper scale: M=512, N=100k, Gaussian
+// cached (409.6 MB, inside the default 512 MB budget) or packed sign
+// (6.4 MB).
+void CorrelateArgmax(benchmark::State& state, cs::MatrixKind kind) {
   const size_t m = static_cast<size_t>(state.range(0));
   const size_t n = static_cast<size_t>(state.range(1));
-  cs::MeasurementMatrix matrix(m, n, 9);
+  cs::MeasurementMatrix matrix(
+      m, n, 9, cs::MeasurementMatrix::kDefaultCacheBudgetBytes, kind);
   std::vector<double> r(m);
   Rng rng(2);
   for (double& v : r) v = rng.NextGaussian();
@@ -214,14 +250,25 @@ void BM_CorrelateArgmax(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * m * n);
 }
+void BM_CorrelateArgmax(benchmark::State& state) {
+  CorrelateArgmax(state, cs::MatrixKind::kGaussian);
+}
+void BM_CorrelateArgmaxSign(benchmark::State& state) {
+  CorrelateArgmax(state, cs::MatrixKind::kSign);
+}
 BENCHMARK(BM_CorrelateArgmax)->Args({512, 100000})->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CorrelateArgmaxSign)
+    ->Args({512, 100000})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_CorrelateAllPlusScan(benchmark::State& state) {
   // The unfused shape of the same work: materialize the N-vector of
   // correlations, then rescan it for the masked argmax.
   const size_t m = static_cast<size_t>(state.range(0));
   const size_t n = static_cast<size_t>(state.range(1));
-  cs::MeasurementMatrix matrix(m, n, 9);
+  cs::MeasurementMatrix matrix(m, n, 9,
+                               cs::MeasurementMatrix::kDefaultCacheBudgetBytes,
+                               cs::MatrixKind::kGaussian);
   std::vector<double> r(m);
   Rng rng(2);
   for (double& v : r) v = rng.NextGaussian();
@@ -253,7 +300,8 @@ void BM_CorrelateScalarPlusScan(benchmark::State& state) {
   // kernel shape the register-blocked CorrelateArgmax replaces.
   const size_t m = static_cast<size_t>(state.range(0));
   const size_t n = static_cast<size_t>(state.range(1));
-  cs::MeasurementMatrix matrix(m, n, 9, /*cache_budget_bytes=*/0);
+  cs::MeasurementMatrix matrix(m, n, 9, /*cache_budget_bytes=*/0,
+                               cs::MatrixKind::kGaussian);
   std::vector<double> cache(m * n);
   for (size_t j = 0; j < n; ++j) matrix.FillColumn(j, cache.data() + j * m);
   std::vector<double> r(m);
@@ -296,16 +344,6 @@ void BM_CountSketchUpdate(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CountSketchUpdate);
-
-void BM_HyperLogLogAdd(benchmark::State& state) {
-  auto hll = sketch::HyperLogLog::Create(12).MoveValue();
-  uint64_t key = 0;
-  for (auto _ : state) {
-    hll.Add(key++);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_HyperLogLogAdd);
 
 void BM_BiasedBasisPursuit(benchmark::State& state) {
   const size_t n = 512;

@@ -1,11 +1,16 @@
 // End-to-end node-side sketching benchmark: the fault-free coordinator path
 // (compress every node's slice, aggregate into the global y) timed four ways
-// per matrix mode (cached / implicit):
+// per matrix mode — Gaussian cached, Gaussian implicit, and the packed ±1
+// sign kind:
 //
 //   per_node_seed       — transcription of the pre-SIMD per-node path:
-//                         scalar accumulate with the fixed 512-entry block
-//                         geometry, then a scalar per-index aggregate. This
-//                         is the baseline the speedup numbers are against.
+//                         scalar accumulate over a dense double copy of the
+//                         columns with the fixed 512-entry block geometry,
+//                         then a scalar per-index aggregate (implicit mode
+//                         regenerates columns instead). This is the
+//                         baseline the speedup numbers are against; in sign
+//                         mode it is the cached-double axpy the packed
+//                         signed adds replace.
 //   per_node_simd       — the library per-node path (Compressor::Compress
 //                         per node + AggregateMeasurements), which now runs
 //                         on the dispatched SIMD kernels.
@@ -171,18 +176,27 @@ int main(int argc, char** argv) {
   std::vector<const cs::SparseSlice*> slice_ptrs;
   for (const auto& slice : slices) slice_ptrs.push_back(&slice);
 
+  struct Mode {
+    const char* name;
+    cs::MatrixKind kind;
+    bool cached;
+  };
   std::vector<ModeResult> results;
-  for (const bool cached : {true, false}) {
+  for (const Mode& mode : {Mode{"cached", cs::MatrixKind::kGaussian, true},
+                           Mode{"implicit", cs::MatrixKind::kGaussian, false},
+                           Mode{"sign", cs::MatrixKind::kSign, true}}) {
+    const bool cached = mode.cached;
     cs::MeasurementMatrix matrix(
         m, n, seed + 7,
-        cached ? cs::MeasurementMatrix::kDefaultCacheBudgetBytes : 0);
+        cached ? cs::MeasurementMatrix::kDefaultCacheBudgetBytes : 0,
+        mode.kind);
     if (cached && !matrix.cached()) {
       std::fprintf(stderr, "M x N exceeds the default cache budget\n");
       return 1;
     }
     cs::Compressor compressor(&matrix);
     ModeResult res;
-    res.mode = cached ? "cached" : "implicit";
+    res.mode = mode.name;
 
     // The seed baseline's own dense column-major copy (what the pre-SIMD
     // kernel's member cache held); left empty in implicit mode.

@@ -21,13 +21,18 @@ Gates read run A by JSON path and fail when a field is missing. On top of
 the table, every key ending in `bit_identical` must be true. Throughput and
 speedup floors are tiered by the cores this process may run on, counted as
 `nproc` counts them.
+
+The installed file opens with a "provenance" object: the cores (`nproc`),
+the SIMD level the kernels dispatch to, the build type, the compiler, and
+the commit the build was made from ("dirty" when the tracked files differ
+from it).
 """
 
 import difflib
+import glob
 import json
 import os
 import re
-import shutil
 import subprocess
 import sys
 import tempfile
@@ -151,6 +156,66 @@ def compared_lines(bench, path):
     return [line for line in lines if re.search(bench.digest, line)]
 
 
+def cmake_cache(build_dir):
+    entries = {}
+    with open(os.path.join(build_dir, "CMakeCache.txt")) as f:
+        for line in f:
+            m = re.match(r"([^#/][^:=]*):[^=]*=(.*)", line.rstrip("\n"))
+            if m:
+                entries[m.group(1)] = m.group(2)
+    return entries
+
+
+def simd_level(cache):
+    """The level common/simd.cc resolves to: AVX2 unless forced portable."""
+    forced = os.environ.get("CSOD_FORCE_PORTABLE_SIMD", "")
+    if cache.get("CSOD_FORCE_PORTABLE_SIMD") == "ON" or forced not in ("", "0"):
+        return "portable"
+    with open("/proc/cpuinfo") as f:
+        flags = next((line for line in f if line.startswith("flags")), "")
+    return "avx2" if " avx2" in flags else "portable"
+
+
+def compiler(build_dir):
+    found = glob.glob(os.path.join(build_dir, "CMakeFiles", "*",
+                                   "CMakeCXXCompiler.cmake"))
+    if not found:
+        return "unknown"
+    with open(found[0]) as f:
+        text = f.read()
+    fields = [re.search(rf'set\(CMAKE_CXX_COMPILER_{key} "([^"]*)"\)', text)
+              for key in ("ID", "VERSION")]
+    return " ".join(m.group(1) for m in fields if m) or "unknown"
+
+
+def git(*args):
+    result = subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
+                            text=True)
+    return result.stdout.strip() if result.returncode == 0 else None
+
+
+def provenance(build_dir):
+    cache = cmake_cache(build_dir)
+    return {
+        "nproc": CORES,
+        "simd": simd_level(cache),
+        "build_type": cache.get("CMAKE_BUILD_TYPE") or "none",
+        "compiler": compiler(build_dir),
+        "commit": git("rev-parse", "HEAD") or "unknown",
+        "dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
+    }
+
+
+def stamped(text, stamp):
+    """`text` (one JSON object) with `"provenance": stamp` as its first key,
+    the bench's own layout kept for every other line."""
+    brace = text.index("{")
+    out = (text[:brace + 1] + '\n  "provenance": ' + json.dumps(stamp) + ","
+           + text[brace + 1:])
+    json.loads(out)
+    return out
+
+
 def run(bench, build_dir, out_path, extra, quiet):
     cmd = [os.path.join(build_dir, "bench", bench.target)]
     cmd += [flag.format(out_path) for flag in bench.out_flags] + extra
@@ -199,7 +264,10 @@ def main(argv):
             print(f"FAIL ({name}): {e}", file=sys.stderr)
             return 1
         dest = os.path.join(ROOT, f"BENCH_{name}.json")
-        shutil.copyfile(outs[0], dest)
+        with open(outs[0]) as f:
+            text = f.read()
+        with open(dest, "w") as f:
+            f.write(stamped(text, provenance(build_dir)))
         print(f"Wrote {dest}")
     return 0
 

@@ -94,6 +94,24 @@ void ScalePortable(double* v, double s, size_t n) {
   for (size_t i = 0; i < n; ++i) v[i] *= s;
 }
 
+inline uint64_t SignBit(const uint64_t* signs, size_t i) {
+  return (signs[i >> 6] >> (i & 63)) & 1;
+}
+
+void SignedAddPortable(double* acc, const uint64_t* signs, double v,
+                       size_t n) {
+  for (size_t i = 0; i < n; ++i) acc[i] += FlipSign(v, SignBit(signs, i));
+}
+
+void SignedAdd8Portable(double* acc, const uint64_t* const signs[8],
+                        const double vs[8], size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    double t = acc[i];
+    for (size_t k = 0; k < 8; ++k) t += FlipSign(vs[k], SignBit(signs[k], i));
+    acc[i] = t;
+  }
+}
+
 #if CSOD_SIMD_X86
 
 // ---------------------------------------------------------------------------
@@ -275,6 +293,64 @@ __attribute__((target("avx2"))) void ScaleAvx2(double* v, double s, size_t n) {
   for (; i < n; ++i) v[i] *= s;
 }
 
+// Row r of the table holds, in lane l, the IEEE sign bit iff bit l of the
+// nibble r is set: XOR-ing a broadcast v with row r yields the four signed
+// copies (±v) of rows 4q..4q+3 whose sign nibble is r.
+alignas(32) constexpr uint64_t kNibbleSigns[16][4] = {
+#define CSOD_SIGN_LANE(r, l) (((r) >> (l)) & 1 ? 0x8000000000000000ULL : 0)
+#define CSOD_SIGN_ROW(r)                                         \
+  {CSOD_SIGN_LANE(r, 0), CSOD_SIGN_LANE(r, 1), CSOD_SIGN_LANE(r, 2), \
+   CSOD_SIGN_LANE(r, 3)}
+    CSOD_SIGN_ROW(0),  CSOD_SIGN_ROW(1),  CSOD_SIGN_ROW(2),  CSOD_SIGN_ROW(3),
+    CSOD_SIGN_ROW(4),  CSOD_SIGN_ROW(5),  CSOD_SIGN_ROW(6),  CSOD_SIGN_ROW(7),
+    CSOD_SIGN_ROW(8),  CSOD_SIGN_ROW(9),  CSOD_SIGN_ROW(10), CSOD_SIGN_ROW(11),
+    CSOD_SIGN_ROW(12), CSOD_SIGN_ROW(13), CSOD_SIGN_ROW(14), CSOD_SIGN_ROW(15),
+#undef CSOD_SIGN_ROW
+#undef CSOD_SIGN_LANE
+};
+
+__attribute__((target("avx2"))) inline __m256d SignedCopies(__m256d v,
+                                                            uint64_t nibble) {
+  return _mm256_xor_pd(
+      v, _mm256_load_pd(reinterpret_cast<const double*>(kNibbleSigns[nibble])));
+}
+
+__attribute__((target("avx2"))) void SignedAddAvx2(double* acc,
+                                                   const uint64_t* signs,
+                                                   double v, size_t n) {
+  const __m256d vv = _mm256_set1_pd(v);
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const uint64_t nibble = (signs[i >> 6] >> (i & 63)) & 15;
+    _mm256_storeu_pd(acc + i, _mm256_add_pd(_mm256_loadu_pd(acc + i),
+                                            SignedCopies(vv, nibble)));
+  }
+  for (; i < n; ++i) acc[i] += FlipSign(v, SignBit(signs, i));
+}
+
+__attribute__((target("avx2"))) void SignedAdd8Avx2(
+    double* acc, const uint64_t* const signs[8], const double vs[8],
+    size_t n) {
+  __m256d v[8];
+  for (size_t k = 0; k < 8; ++k) v[k] = _mm256_set1_pd(vs[k]);
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const size_t word = i >> 6;
+    const size_t shift = i & 63;
+    __m256d t = _mm256_loadu_pd(acc + i);
+    for (size_t k = 0; k < 8; ++k) {
+      t = _mm256_add_pd(
+          t, SignedCopies(v[k], (signs[k][word] >> shift) & 15));
+    }
+    _mm256_storeu_pd(acc + i, t);
+  }
+  for (; i < n; ++i) {
+    double t = acc[i];
+    for (size_t k = 0; k < 8; ++k) t += FlipSign(vs[k], SignBit(signs[k], i));
+    acc[i] = t;
+  }
+}
+
 #endif  // CSOD_SIMD_X86
 
 Level DetectLevel() {
@@ -397,6 +473,27 @@ void Scale(double* v, double s, size_t n) {
   }
 #endif
   ScalePortable(v, s, n);
+}
+
+void SignedAdd(double* acc, const uint64_t* signs, double v, size_t n) {
+#if CSOD_SIMD_X86
+  if (ActiveLevel() == Level::kAvx2) {
+    SignedAddAvx2(acc, signs, v, n);
+    return;
+  }
+#endif
+  SignedAddPortable(acc, signs, v, n);
+}
+
+void SignedAdd8(double* acc, const uint64_t* const signs[8],
+                const double vs[8], size_t n) {
+#if CSOD_SIMD_X86
+  if (ActiveLevel() == Level::kAvx2) {
+    SignedAdd8Avx2(acc, signs, vs, n);
+    return;
+  }
+#endif
+  SignedAdd8Portable(acc, signs, vs, n);
 }
 
 }  // namespace csod::simd

@@ -1,7 +1,9 @@
 #ifndef CSOD_COMMON_SIMD_H_
 #define CSOD_COMMON_SIMD_H_
 
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 
 namespace csod::simd {
 
@@ -93,6 +95,22 @@ void Add4(double* acc, const double* s0, const double* s1, const double* s2,
 
 /// v[i] *= s.
 void Scale(double* v, double s, size_t n);
+
+/// -v when `bit` is 1, v when it is 0: an exact IEEE sign-bit flip.
+inline double FlipSign(double v, uint64_t bit) {
+  return std::bit_cast<double>(std::bit_cast<uint64_t>(v) ^ (bit << 63));
+}
+
+/// Signed add over a packed ±1 column: acc[i] += (bit i set ? -v : v),
+/// where bit i is bit (i % 64) of signs[i / 64]. The flip is an exact IEEE
+/// negation, so with v = c * x the result is bit-identical to Axpy over the
+/// materialized column col[i] = ±c (since (±c) * x == ±(c * x) exactly).
+void SignedAdd(double* acc, const uint64_t* signs, double v, size_t n);
+
+/// Eight fused SignedAdd streams in one pass over acc, bit-identical to
+/// eight sequential SignedAdd calls in stream order.
+void SignedAdd8(double* acc, const uint64_t* const signs[8],
+                const double vs[8], size_t n);
 
 }  // namespace csod::simd
 

@@ -40,7 +40,6 @@
 #include "outlier/metrics.h"
 #include "outlier/outlier.h"
 #include "sketch/count_sketch.h"
-#include "sketch/hyperloglog.h"
 #include "sketch/sketch_protocols.h"
 #include "workload/generators.h"
 #include "workload/key_dictionary.h"

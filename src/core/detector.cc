@@ -14,7 +14,8 @@ DistributedOutlierDetector::DistributedOutlierDetector(
     const DetectorOptions& options)
     : options_(options),
       matrix_(std::make_unique<cs::MeasurementMatrix>(
-          options.m, options.n, options.seed, options.cache_budget_bytes)),
+          options.m, options.n, options.seed, options.cache_budget_bytes,
+          options.matrix_kind)),
       compressor_(std::make_unique<cs::Compressor>(matrix_.get())),
       global_y_(options.m, 0.0) {
   compressor_->set_telemetry(options.telemetry);
@@ -40,6 +41,18 @@ DistributedOutlierDetector::Create(const DetectorOptions& options) {
     return Status::InvalidArgument(
         "DetectorOptions: m*n*8 bytes overflows size_t (m=" +
         std::to_string(options.m) + ", n=" + std::to_string(options.n) + ")");
+  }
+  // The packed sign matrix is always materialized, so a header from a
+  // Load must not size it past the budget a Gaussian cache would get
+  // (the Gaussian kind falls back to regenerating columns instead).
+  const size_t sign_words = (options.m + 63) / 64;
+  if (options.matrix_kind == cs::MatrixKind::kSign &&
+      options.n > options.cache_budget_bytes / sizeof(uint64_t) / sign_words) {
+    return Status::InvalidArgument(
+        "DetectorOptions: the packed sign matrix (m=" +
+        std::to_string(options.m) + ", n=" + std::to_string(options.n) +
+        ") exceeds cache_budget_bytes " +
+        std::to_string(options.cache_budget_bytes));
   }
   return std::unique_ptr<DistributedOutlierDetector>(
       new DistributedOutlierDetector(options));
@@ -152,7 +165,7 @@ Result<outlier::OutlierSet> DistributedOutlierDetector::AnswerFrom(
 }
 
 // Checkpoint payload (count = number of sources):
-//   u64 n, m, seed, iterations
+//   u64 n, m, seed, iterations; u8 matrix kind
 //   per source, ascending id: u64 id, u32 len, EncodeMeasurement bytes
 Result<std::string> DistributedOutlierDetector::Save() const {
   std::string payload;
@@ -160,6 +173,7 @@ Result<std::string> DistributedOutlierDetector::Save() const {
   dist::AppendU64(&payload, options_.m);
   dist::AppendU64(&payload, options_.seed);
   dist::AppendU64(&payload, options_.iterations);
+  dist::AppendU8(&payload, static_cast<uint8_t>(options_.matrix_kind));
   for (const auto& [id, sketch] : sketches_) {
     CSOD_ASSIGN_OR_RETURN(const std::string message,
                           dist::EncodeMeasurement(sketch));
@@ -171,22 +185,38 @@ Result<std::string> DistributedOutlierDetector::Save() const {
 }
 
 Result<std::unique_ptr<DistributedOutlierDetector>>
-DistributedOutlierDetector::Load(const std::string& frame) {
+DistributedOutlierDetector::Load(const std::string& frame,
+                                 const DetectorOptions* expected) {
   CSOD_ASSIGN_OR_RETURN(const dist::FrameView view, dist::DecodeFrame(frame));
   if (view.kind != dist::kDetectorCheckpointFrameKind) {
     return Status::InvalidArgument("Load: not a detector checkpoint (kind " +
                                    std::to_string(view.kind) + ")");
   }
   dist::PayloadReader reader(view);
-  DetectorOptions options;
-  uint64_t u = 0;
-  CSOD_RETURN_NOT_OK(reader.U64(&u));
-  options.n = static_cast<size_t>(u);
-  CSOD_RETURN_NOT_OK(reader.U64(&u));
-  options.m = static_cast<size_t>(u);
-  CSOD_RETURN_NOT_OK(reader.U64(&options.seed));
-  CSOD_RETURN_NOT_OK(reader.U64(&u));
-  options.iterations = static_cast<size_t>(u);
+  DetectorOptions options = expected != nullptr ? *expected : DetectorOptions{};
+  uint64_t n = 0, m = 0, seed = 0, iterations = 0;
+  uint8_t kind_byte = 0;
+  CSOD_RETURN_NOT_OK(reader.U64(&n));
+  CSOD_RETURN_NOT_OK(reader.U64(&m));
+  CSOD_RETURN_NOT_OK(reader.U64(&seed));
+  CSOD_RETURN_NOT_OK(reader.U64(&iterations));
+  CSOD_RETURN_NOT_OK(reader.U8(&kind_byte));
+  CSOD_ASSIGN_OR_RETURN(const cs::MatrixKind kind,
+                        cs::MatrixKindFromByte(kind_byte));
+  if (expected != nullptr &&
+      (n != expected->n || m != expected->m || seed != expected->seed ||
+       kind != expected->matrix_kind)) {
+    return Status::InvalidArgument(
+        "Load: checkpoint geometry (n=" + std::to_string(n) +
+        " m=" + std::to_string(m) + " seed=" + std::to_string(seed) +
+        " matrix=" + cs::MatrixKindName(kind) +
+        ") does not match the detector options");
+  }
+  options.n = static_cast<size_t>(n);
+  options.m = static_cast<size_t>(m);
+  options.seed = seed;
+  options.iterations = static_cast<size_t>(iterations);
+  options.matrix_kind = kind;
   // A source is at least its u64 id and a length-prefixed empty message.
   CSOD_RETURN_NOT_OK(
       reader.CheckCount(view.count, 8 + 4 + dist::MeasurementWireSize(0)));

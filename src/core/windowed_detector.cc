@@ -1,5 +1,6 @@
 #include "core/windowed_detector.h"
 
+#include <algorithm>
 #include <iterator>
 #include <string>
 #include <utility>
@@ -12,7 +13,8 @@ WindowedOutlierDetector::WindowedOutlierDetector(
     const WindowedDetectorOptions& options)
     : options_(options),
       matrix_(std::make_unique<cs::MeasurementMatrix>(
-          options.m, options.n, options.seed, options.cache_budget_bytes)),
+          options.m, options.n, options.seed, options.cache_budget_bytes,
+          options.matrix_kind)),
       compressor_(std::make_unique<cs::Compressor>(matrix_.get())) {}
 
 Result<std::unique_ptr<WindowedOutlierDetector>>
@@ -41,6 +43,23 @@ uint64_t WindowedOutlierDetector::AdvanceEpoch() {
   while (epoch_sketches_.size() > options_.window_epochs) {
     epoch_sketches_.pop_front();  // O(1) expiry: drop the oldest sketch.
   }
+  return current_epoch_;
+}
+
+uint64_t WindowedOutlierDetector::AdvanceEmptyEpochs(uint64_t count) {
+  if (count == 0) return current_epoch_;
+  if (!started_) {
+    AdvanceEpoch();  // Opens epoch 0 without moving the counter.
+    --count;
+  }
+  const uint64_t fresh = std::min<uint64_t>(count, options_.window_epochs);
+  for (uint64_t e = 0; e < fresh; ++e) {
+    epoch_sketches_.emplace_back(options_.m, 0.0);
+    if (epoch_sketches_.size() > options_.window_epochs) {
+      epoch_sketches_.pop_front();
+    }
+  }
+  current_epoch_ += count;
   return current_epoch_;
 }
 

@@ -23,6 +23,7 @@ struct WindowedDetectorOptions {
   /// Number of most-recent epochs a query covers.
   size_t window_epochs = 0;
   size_t cache_budget_bytes = cs::MeasurementMatrix::kDefaultCacheBudgetBytes;
+  cs::MatrixKind matrix_kind = cs::kDefaultMatrixKind;
 };
 
 /// \brief Sliding-window outlier detection over epoched sketches.
@@ -42,6 +43,12 @@ class WindowedOutlierDetector {
   /// Begins a new epoch (e.g. a new 10-minute log window); the oldest
   /// epoch beyond the window is dropped. Returns the epoch index.
   uint64_t AdvanceEpoch();
+
+  /// Exactly `count` AdvanceEpoch() calls with nothing ingested between
+  /// them, in O(min(count, window)·M): at most a window of fresh empty
+  /// sketches enters the ring, the epoch counter moves by arithmetic.
+  /// Returns the epoch index.
+  uint64_t AdvanceEmptyEpochs(uint64_t count);
 
   /// Adds data arriving in the *current* epoch from any node; slices
   /// accumulate (`y_epoch += Φ0 Δx`). Fails before the first

@@ -1,6 +1,7 @@
 #include "cs/measurement_matrix.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <string>
 
@@ -64,6 +65,50 @@ class AxpyBatcher {
   size_t filled_ = 0;
 };
 
+// The packed-sign counterpart: streams (sign column, v = x/√M) pairs into
+// `acc` eight at a time via simd::SignedAdd8. Fused and single-stream
+// forms are bit-identical to one SignedAdd per entry in push order — and,
+// because the flip is exact, to the AxpyBatcher over the materialized ±1/√M
+// columns.
+class SignBatcher {
+ public:
+  SignBatcher(double* acc, size_t m) : acc_(acc), m_(m) {}
+
+  void Push(const uint64_t* signs, double v) {
+    signs_[filled_] = signs;
+    vs_[filled_] = v;
+    if (++filled_ == 8) Flush();
+  }
+
+  void Flush() {
+    if (filled_ == 8) {
+      simd::SignedAdd8(acc_, signs_, vs_, m_);
+    } else {
+      for (size_t k = 0; k < filled_; ++k) {
+        simd::SignedAdd(acc_, signs_[k], vs_[k], m_);
+      }
+    }
+    filled_ = 0;
+  }
+
+ private:
+  double* acc_;
+  size_t m_;
+  const uint64_t* signs_[8];
+  double vs_[8];
+  size_t filled_ = 0;
+};
+
+// Byte t of kSpreadBits[b] is bit t of b: adding it to a word of eight
+// byte counters counts the set bits of one 8-row sign byte in one add.
+constexpr std::array<uint64_t, 256> kSpreadBits = [] {
+  std::array<uint64_t, 256> spread{};
+  for (uint64_t b = 0; b < 256; ++b) {
+    for (uint64_t t = 0; t < 8; ++t) spread[b] |= ((b >> t) & 1) << (8 * t);
+  }
+  return spread;
+}();
+
 // Same idea for unscaled column sums (BiasColumn).
 class AddBatcher {
  public:
@@ -104,9 +149,51 @@ inline void FoldArgmax(size_t index, double value,
 
 }  // namespace
 
+const char* MatrixKindName(MatrixKind kind) {
+  return kind == MatrixKind::kSign ? "sign" : "gaussian";
+}
+
+Result<MatrixKind> ParseMatrixKind(const std::string& name) {
+  if (name == "gaussian") return MatrixKind::kGaussian;
+  if (name == "sign") return MatrixKind::kSign;
+  return Status::InvalidArgument("unknown matrix kind '" + name +
+                                 "' (expected gaussian|sign)");
+}
+
+Result<MatrixKind> MatrixKindFromByte(uint8_t byte) {
+  if (byte == static_cast<uint8_t>(MatrixKind::kGaussian)) {
+    return MatrixKind::kGaussian;
+  }
+  if (byte == static_cast<uint8_t>(MatrixKind::kSign)) return MatrixKind::kSign;
+  return Status::InvalidArgument("unknown matrix kind byte " +
+                                 std::to_string(byte));
+}
+
 MeasurementMatrix::MeasurementMatrix(size_t m, size_t n, uint64_t seed,
-                                     size_t cache_budget_bytes)
-    : m_(m), n_(n), seed_(seed), inv_sqrt_m_(1.0 / std::sqrt(double(m))) {
+                                     size_t cache_budget_bytes,
+                                     MatrixKind kind)
+    : m_(m),
+      n_(n),
+      seed_(seed),
+      kind_(kind),
+      inv_sqrt_m_(1.0 / std::sqrt(double(m))) {
+  if (kind_ == MatrixKind::kSign) {
+    words_per_column_ = (m_ + 63) / 64;
+    signs_.resize(words_per_column_ * n_);
+    const uint64_t tail_mask =
+        m_ % 64 == 0 ? ~uint64_t{0} : (uint64_t{1} << (m_ % 64)) - 1;
+    ParallelFor(n_, kMinColumnsPerChunk, [&](size_t begin, size_t end) {
+      for (size_t col = begin; col < end; ++col) {
+        const uint64_t column_seed = HashCombine(seed_, col);
+        uint64_t* dst = signs_.data() + col * words_per_column_;
+        for (size_t w = 0; w < words_per_column_; ++w) {
+          dst[w] = HashCombine(column_seed, w);
+        }
+        if (words_per_column_ > 0) dst[words_per_column_ - 1] &= tail_mask;
+      }
+    });
+    return;
+  }
   // Divide, never multiply, before the product is known to fit: an m·n
   // that wraps size_t must read as "over budget", not as a tiny cache.
   const bool fits = m_ == 0 || n_ <= cache_budget_bytes / sizeof(double) / m_;
@@ -126,6 +213,13 @@ MeasurementMatrix::MeasurementMatrix(size_t m, size_t n, uint64_t seed,
 }
 
 void MeasurementMatrix::FillColumn(size_t col, double* out) const {
+  if (kind_ == MatrixKind::kSign) {
+    const uint64_t* words = SignColumn(col);
+    for (size_t i = 0; i < m_; ++i) {
+      out[i] = simd::FlipSign(inv_sqrt_m_, (words[i >> 6] >> (i & 63)) & 1);
+    }
+    return;
+  }
   if (!cache_.empty()) {
     const double* src = cache_.data() + col * m_;
     std::copy(src, src + m_, out);
@@ -153,7 +247,15 @@ Result<std::vector<double>> MeasurementMatrix::Multiply(
   // Accumulates columns [col_begin, col_end) into acc (size M). The scratch
   // column is only needed when the matrix is implicit.
   auto accumulate = [&](size_t col_begin, size_t col_end, double* acc) {
-    if (!cache_.empty()) {
+    if (kind_ == MatrixKind::kSign) {
+      SignBatcher batch(acc, m_);
+      for (size_t j = col_begin; j < col_end; ++j) {
+        const double xj = x[j];
+        if (xj == 0.0) continue;
+        batch.Push(SignColumn(j), xj * inv_sqrt_m_);
+      }
+      batch.Flush();
+    } else if (!cache_.empty()) {
       AxpyBatcher batch(acc, m_);
       for (size_t j = col_begin; j < col_end; ++j) {
         const double xj = x[j];
@@ -211,7 +313,15 @@ Result<std::vector<double>> MeasurementMatrix::MultiplySparse(
   const size_t nnz = indices.size();
   std::vector<double> y(m_, 0.0);
   auto accumulate = [&](size_t k_begin, size_t k_end, double* acc) {
-    if (!cache_.empty()) {
+    if (kind_ == MatrixKind::kSign) {
+      SignBatcher batch(acc, m_);
+      for (size_t k = k_begin; k < k_end; ++k) {
+        const double xj = values[k];
+        if (xj == 0.0) continue;
+        batch.Push(SignColumn(indices[k]), xj * inv_sqrt_m_);
+      }
+      batch.Flush();
+    } else if (!cache_.empty()) {
       AxpyBatcher batch(acc, m_);
       for (size_t k = k_begin; k < k_end; ++k) {
         const double xj = values[k];
@@ -312,7 +422,21 @@ Status MeasurementMatrix::MultiplySparseBatch(
     batch.Flush();
   };
 
-  if (!cache_.empty()) {
+  if (kind_ == MatrixKind::kSign) {
+    ParallelFor(schedule.size(), 1, [&](size_t begin, size_t end) {
+      for (size_t i = begin; i < end; ++i) {
+        const Block& blk = blocks[schedule[i]];
+        const SparseVectorView& s = slices[blk.slice];
+        SignBatcher batch(partials.data() + schedule[i] * m_, m_);
+        for (size_t k = blk.k_begin; k < blk.k_end; ++k) {
+          const double xj = s.values[k];
+          if (xj == 0.0) continue;
+          batch.Push(SignColumn(s.indices[k]), xj * inv_sqrt_m_);
+        }
+        batch.Flush();
+      }
+    });
+  } else if (!cache_.empty()) {
     // Cross-slice parallel over all blocks at once, in schedule order.
     ParallelFor(schedule.size(), 1, [&](size_t begin, size_t end) {
       for (size_t i = begin; i < end; ++i) {
@@ -426,7 +550,14 @@ Status MeasurementMatrix::CorrelateAllInto(const std::vector<double>& r,
                                    std::to_string(m_));
   }
   const double* rp = r.data();
-  if (!cache_.empty()) {
+  if (kind_ == MatrixKind::kSign) {
+    const std::vector<double> tables = SignTables(r);
+    ParallelFor(n_, kMinColumnsPerChunk, [&](size_t begin, size_t end) {
+      for (size_t j = begin; j < end; ++j) {
+        out[j] = SignCorrelate(tables.data(), j);
+      }
+    });
+  } else if (!cache_.empty()) {
     ParallelFor(n_, kMinColumnsPerChunk, [&](size_t begin, size_t end) {
       size_t j = begin;
       for (; j + 4 <= end; j += 4) {
@@ -475,11 +606,18 @@ Result<CorrelateArgmaxResult> MeasurementMatrix::CorrelateArgmax(
                                    std::to_string(n_ + skip_offset));
   }
   const double* rp = r.data();
+  const std::vector<double> tables =
+      kind_ == MatrixKind::kSign ? SignTables(r) : std::vector<double>();
   // Chunk-local argmax over [begin, end); candidates are visited in
   // ascending index order so ties resolve to the lowest index.
   auto local_argmax = [&](size_t begin, size_t end) {
     CorrelateArgmaxResult best;
-    if (!cache_.empty()) {
+    if (kind_ == MatrixKind::kSign) {
+      for (size_t j = begin; j < end; ++j) {
+        if (skip != nullptr && (*skip)[j + skip_offset]) continue;
+        FoldArgmax(j, SignCorrelate(tables.data(), j), &best);
+      }
+    } else if (!cache_.empty()) {
       // Batch unmasked columns four at a time; batch order is ascending, so
       // folding the four dots in order preserves the tie-break.
       size_t batch[4];
@@ -536,8 +674,110 @@ Result<CorrelateArgmaxResult> MeasurementMatrix::CorrelateArgmax(
   return best;
 }
 
+std::vector<double> MeasurementMatrix::SignTables(
+    const std::vector<double>& r) const {
+  // Group g covers rows 8g..8g+7; tables[g*256 + b] is Σ_t ±r_t/√M over
+  // those rows with the sign of row 8g+t taken from bit t of b, summed as
+  // (rows 0..3 in order) + (rows 4..7 in order). Rows past M read as 0 and
+  // their sign bits are always 0, so those entries are never looked up.
+  const size_t groups = (m_ + 7) / 8;
+  std::vector<double> tables(groups * 256);
+  for (size_t g = 0; g < groups; ++g) {
+    double rows[8];
+    for (size_t t = 0; t < 8; ++t) {
+      const size_t i = 8 * g + t;
+      rows[t] = i < m_ ? r[i] * inv_sqrt_m_ : 0.0;
+    }
+    double low[16];
+    double high[16];
+    for (uint64_t b = 0; b < 16; ++b) {
+      double lo = simd::FlipSign(rows[0], b & 1);
+      double hi = simd::FlipSign(rows[4], b & 1);
+      for (size_t t = 1; t < 4; ++t) {
+        lo += simd::FlipSign(rows[t], (b >> t) & 1);
+        hi += simd::FlipSign(rows[4 + t], (b >> t) & 1);
+      }
+      low[b] = lo;
+      high[b] = hi;
+    }
+    double* table = tables.data() + g * 256;
+    for (size_t b = 0; b < 256; ++b) table[b] = low[b & 15] + high[b >> 4];
+  }
+  return tables;
+}
+
+double MeasurementMatrix::SignCorrelate(const double* tables,
+                                        size_t col) const {
+  // One lookup per 8-row group; group g feeds lane g mod 4 in ascending g,
+  // and the lanes fold as (l0 + l1) + (l2 + l3). Scalar code in a fixed
+  // order: the same bits at every SIMD level and thread count.
+  const uint64_t* words = SignColumn(col);
+  const size_t groups = (m_ + 7) / 8;
+  double lane[4] = {0.0, 0.0, 0.0, 0.0};
+  size_t g = 0;
+  for (; g + 8 <= groups; g += 8) {
+    const uint64_t word = words[g >> 3];
+    const double* t = tables + g * 256;
+    lane[0] += t[word & 255];
+    lane[1] += t[256 + ((word >> 8) & 255)];
+    lane[2] += t[512 + ((word >> 16) & 255)];
+    lane[3] += t[768 + ((word >> 24) & 255)];
+    lane[0] += t[1024 + ((word >> 32) & 255)];
+    lane[1] += t[1280 + ((word >> 40) & 255)];
+    lane[2] += t[1536 + ((word >> 48) & 255)];
+    lane[3] += t[1792 + (word >> 56)];
+  }
+  if (g < groups) {
+    uint64_t word = words[g >> 3];
+    for (; g < groups; ++g, word >>= 8) {
+      lane[g & 3] += tables[g * 256 + (word & 255)];
+    }
+  }
+  return (lane[0] + lane[1]) + (lane[2] + lane[3]);
+}
+
 std::vector<double> MeasurementMatrix::BiasColumn() const {
   std::vector<double> phi0(m_, 0.0);
+  const double scale = 1.0 / std::sqrt(static_cast<double>(n_));
+  if (kind_ == MatrixKind::kSign) {
+    // Row i of Σ_j φ_j is (N - 2·ones_i)/√M, where ones_i counts the
+    // columns whose row-i sign bit is set — an exact integer, so the block
+    // split cannot change it. Counting runs eight rows per add on byte
+    // counters (kSpreadBits), drained before any byte can reach 256.
+    const size_t groups = (m_ + 7) / 8;
+    const size_t num_blocks =
+        (n_ + kReductionBlockColumns - 1) / kReductionBlockColumns;
+    std::vector<uint64_t> ones(num_blocks * m_, 0);
+    ParallelFor(num_blocks, 1, [&](size_t begin, size_t end) {
+      std::vector<uint64_t> bytes(groups);
+      for (size_t b = begin; b < end; ++b) {
+        uint64_t* acc = ones.data() + b * m_;
+        const size_t col_begin = b * kReductionBlockColumns;
+        const size_t col_end = std::min(n_, col_begin + kReductionBlockColumns);
+        for (size_t j = col_begin; j < col_end;) {
+          const size_t run_end = std::min(col_end, j + 255);
+          std::fill(bytes.begin(), bytes.end(), 0);
+          for (; j < run_end; ++j) {
+            const uint64_t* words = SignColumn(j);
+            for (size_t g = 0; g < groups; ++g) {
+              bytes[g] += kSpreadBits[(words[g >> 3] >> (8 * (g & 7))) & 255];
+            }
+          }
+          for (size_t i = 0; i < m_; ++i) {
+            acc[i] += (bytes[i >> 3] >> (8 * (i & 7))) & 255;
+          }
+        }
+      }
+    });
+    for (size_t i = 0; i < m_; ++i) {
+      uint64_t total = 0;
+      for (size_t b = 0; b < num_blocks; ++b) total += ones[b * m_ + i];
+      const double sum = static_cast<double>(static_cast<int64_t>(n_) -
+                                             2 * static_cast<int64_t>(total));
+      phi0[i] = sum * inv_sqrt_m_ * scale;
+    }
+    return phi0;
+  }
   auto accumulate = [&](size_t col_begin, size_t col_end, double* acc) {
     if (!cache_.empty()) {
       AddBatcher batch(acc, m_);
@@ -572,7 +812,6 @@ std::vector<double> MeasurementMatrix::BiasColumn() const {
       simd::Add(phi0.data(), partials.data() + b * m_, m_);
     }
   }
-  const double scale = 1.0 / std::sqrt(static_cast<double>(n_));
   simd::Scale(phi0.data(), scale, m_);
   return phi0;
 }

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "common/random.h"
@@ -27,6 +28,32 @@ struct CorrelateArgmaxResult {
   double abs_correlation = -1.0;
 };
 
+/// \brief The random ensemble Φ0 is drawn from.
+///
+/// Both kinds make entry (i, j) a pure function of (seed, j, i) scaled by
+/// 1/√M, and both satisfy the RIP at M = O(s log(N/s)) (docs/THEORY.md §1),
+/// so the choice changes cost, not the recovery guarantee. The kind is part
+/// of a stream's geometry: it travels with n/m/seed in every checkpoint
+/// frame, and state taken under one kind is refused under the other.
+enum class MatrixKind : uint8_t {
+  /// i.i.d. N(0, 1/M) — the paper's ensemble; dense 8-byte entries, or
+  /// regenerated column by column when the cache budget is exceeded.
+  kGaussian = 0,
+  /// i.i.d. ±1/√M (Rademacher) — stored packed at 1 bit per entry; sketches
+  /// are signed adds and correlations are table lookups.
+  kSign = 1,
+};
+
+/// The kind every options struct and the 4-argument constructor default to.
+inline constexpr MatrixKind kDefaultMatrixKind = MatrixKind::kSign;
+
+/// "gaussian" / "sign".
+const char* MatrixKindName(MatrixKind kind);
+/// Parses MatrixKindName's output; InvalidArgument otherwise.
+Result<MatrixKind> ParseMatrixKind(const std::string& name);
+/// Decodes a wire byte; InvalidArgument for a value no kind has.
+Result<MatrixKind> MatrixKindFromByte(uint8_t byte);
+
 /// \brief Non-owning view of one node's sparse slice, for the batched
 /// sketching kernel (MultiplySparseBatch). The pointed-to arrays must stay
 /// alive for the duration of the call.
@@ -36,9 +63,9 @@ struct SparseVectorView {
   size_t nnz = 0;
 };
 
-/// \brief The paper's random Gaussian measurement matrix
-/// `Φ0 (M x N, entries i.i.d. N(0, 1/M))`, generated deterministically
-/// from a seed.
+/// \brief The paper's random measurement matrix `Φ0 (M x N)`, generated
+/// deterministically from a seed: i.i.d. N(0, 1/M) entries (kGaussian,
+/// the paper's ensemble) or i.i.d. ±1/√M entries (kSign, the default).
 ///
 /// Key property (Section 3.1, "by a consensus, each node randomly generates
 /// the same M x N measurement matrix"): entry (i, j) is a pure function of
@@ -47,9 +74,18 @@ struct SparseVectorView {
 /// and individual columns can be regenerated in any order — which is what
 /// OMP's column-selection loop needs.
 ///
-/// An optional dense column-major cache trades memory for speed; when
-/// `M * N * 8` exceeds the cache budget the matrix stays implicit and
-/// columns are regenerated on the fly.
+/// Storage. kGaussian: an optional dense column-major cache trades memory
+/// for speed; when `M * N * 8` exceeds the cache budget the matrix stays
+/// implicit and columns are regenerated on the fly. kSign: always
+/// materialized, packed column-major at 1 bit per entry (ceil(M/64) words
+/// per column, bit i%64 of word i/64 set ⇔ entry (i, j) = -1/√M; bit i of
+/// column j comes from the SplitMix64 word HashCombine(HashCombine(seed, j),
+/// i/64), so rows depend only on (seed, j, i) and a taller matrix extends a
+/// shorter one). M·N/8 bytes — 1.76 MB at 700 x 20k against 112 MB dense —
+/// so the cache budget does not apply. Sketching on it is signed adds
+/// (simd::SignedAdd8); CorrelateAll/CorrelateArgmax build, once per call,
+/// a 256-entry table of ±r partial sums per 8 rows and then spend M/8
+/// lookups per column; BiasColumn is exact integer column-sign counts.
 ///
 /// Determinism: every kernel below returns bit-identical results at any
 /// parallelism limit. Per-index kernels (cache fill, CorrelateAll) write
@@ -57,21 +93,31 @@ struct SparseVectorView {
 /// fixed block geometry independent of the thread count with partials
 /// combined in block order; CorrelateArgmax reduces chunk-local winners in
 /// chunk order with lowest-index tie-breaking, which composes to the global
-/// lowest-index argmax under any chunking.
+/// lowest-index argmax under any chunking. The sign kernels keep the same
+/// block geometry and sum every column's table lookups in one fixed order
+/// in scalar code, so they are bit-identical across SIMD levels too.
 class MeasurementMatrix {
  public:
-  /// Creates the M x N matrix for `seed`. A dense cache is materialized iff
-  /// the storage fits `cache_budget_bytes` (0 disables caching).
+  /// Creates the M x N matrix of `kind` for `seed`. For kGaussian a dense
+  /// cache is materialized iff the storage fits `cache_budget_bytes` (0
+  /// disables caching); kSign is always stored packed.
   MeasurementMatrix(size_t m, size_t n, uint64_t seed,
-                    size_t cache_budget_bytes = kDefaultCacheBudgetBytes);
+                    size_t cache_budget_bytes = kDefaultCacheBudgetBytes,
+                    MatrixKind kind = kDefaultMatrixKind);
 
   size_t m() const { return m_; }
   size_t n() const { return n_; }
   uint64_t seed() const { return seed_; }
-  bool cached() const { return !cache_.empty(); }
+  MatrixKind kind() const { return kind_; }
+  /// True when every column is stored (always for kSign).
+  bool cached() const { return kind_ == MatrixKind::kSign || !cache_.empty(); }
 
-  /// Entry (row, col) — N(0, 1/M) distributed.
+  /// Entry (row, col): N(0, 1/M) distributed for kGaussian, ±1/√M for kSign.
   double Entry(size_t row, size_t col) const {
+    if (kind_ == MatrixKind::kSign) {
+      const uint64_t word = SignColumn(col)[row >> 6];
+      return (word >> (row & 63)) & 1 ? -inv_sqrt_m_ : inv_sqrt_m_;
+    }
     if (!cache_.empty()) return cache_[col * m_ + row];
     return GenerateEntry(row, col);
   }
@@ -110,7 +156,7 @@ class MeasurementMatrix {
   /// per-node path, which is what lets the fault-free protocol fast path
   /// coexist with the bit-compared per-node fault path.
   ///
-  /// When the matrix is implicit, columns are generated into a tiered
+  /// When a Gaussian matrix is implicit, columns are generated into a tiered
   /// scratch: consecutive blocks are grouped into waves whose entry count
   /// fits `scratch_budget_bytes` worth of columns, and each distinct column
   /// is generated once per wave (once per batch when the batch fits)
@@ -158,12 +204,27 @@ class MeasurementMatrix {
     return CounterGaussian(HashCombine(seed_, col)).At(row) * inv_sqrt_m_;
   }
 
+  // Packed sign words of column `col` (kSign only).
+  const uint64_t* SignColumn(size_t col) const {
+    return signs_.data() + col * words_per_column_;
+  }
+
+  // Per-call correlation tables for kSign (see CorrelateAllInto).
+  std::vector<double> SignTables(const std::vector<double>& r) const;
+  double SignCorrelate(const double* tables, size_t col) const;
+
   size_t m_;
   size_t n_;
   uint64_t seed_;
+  MatrixKind kind_;
   double inv_sqrt_m_;
-  // Column-major cache (cache_[col * m_ + row]) or empty when implicit.
+  // Gaussian: column-major cache (cache_[col * m_ + row]) or empty when
+  // implicit.
   std::vector<double> cache_;
+  // Sign: ceil(M/64) words per column, column-major; bits at rows >= M are
+  // zero.
+  size_t words_per_column_ = 0;
+  std::vector<uint64_t> signs_;
   // Lazily memoized bias column (CachedBiasColumn).
   mutable std::once_flag bias_once_;
   mutable std::vector<double> bias_column_;

@@ -112,7 +112,8 @@ Result<outlier::OutlierSet> AdaptiveCsProtocol::RunGrow(const Cluster& cluster,
     }
 
     cs::MeasurementMatrix matrix(m, n, options_.seed,
-                                 options_.cache_budget_bytes);
+                                 options_.cache_budget_bytes,
+                                 options_.matrix_kind);
     cs::Compressor compressor(&matrix);
     compressor.set_telemetry(telemetry_);
     std::vector<double> y;
@@ -238,7 +239,8 @@ Result<outlier::OutlierSet> AdaptiveCsProtocol::RunTwoPhase(
   CSOD_RETURN_NOT_OK(check_degraded());
 
   cs::MeasurementMatrix locate_matrix(options_.locate_m, n, options_.seed,
-                                      options_.cache_budget_bytes);
+                                      options_.cache_budget_bytes,
+                                      options_.matrix_kind);
   cs::Compressor locate_compressor(&locate_matrix);
   locate_compressor.set_telemetry(telemetry_);
   std::vector<double> y1;
@@ -340,7 +342,7 @@ Result<outlier::OutlierSet> AdaptiveCsProtocol::RunTwoPhase(
   // rows that *chose* S. Column p senses candidate key support[p].
   cs::MeasurementMatrix refine_matrix(
       m2, support.size(), options_.seed ^ 0x9e3779b97f4a7c15ULL,
-      options_.cache_budget_bytes);
+      options_.cache_budget_bytes, options_.matrix_kind);
   cs::Compressor refine_compressor(&refine_matrix);
   refine_compressor.set_telemetry(telemetry_);
   std::vector<cs::SparseSlice> restricted(alive.size());

@@ -49,8 +49,10 @@ struct AdaptiveCsOptions {
   /// consecutive rounds — the practical criterion when the iteration
   /// budget R = f(k) targets only the top-k, not full support recovery.
   bool accept_on_stable_topk = true;
-  /// Dense-cache budget for the recovery matrix.
+  /// Dense-cache budget for the recovery matrix (Gaussian kind only).
   size_t cache_budget_bytes = cs::MeasurementMatrix::kDefaultCacheBudgetBytes;
+  /// Φ0 ensemble of every round (both kinds extend by appending rows).
+  cs::MatrixKind matrix_kind = cs::kDefaultMatrixKind;
   /// Fault plan applied to every round's incremental-row transmissions
   /// (default: perfect network, bit-identical to the pre-fault protocol).
   FaultPlan faults;

@@ -19,8 +19,10 @@ struct CsProtocolOptions {
   uint64_t seed = 1;
   /// BOMP iteration budget R; 0 selects the paper's default f(k) ∈ [2k,5k].
   size_t iterations = 0;
-  /// Dense-cache budget for the measurement matrix.
+  /// Dense-cache budget for the measurement matrix (Gaussian kind only).
   size_t cache_budget_bytes = cs::MeasurementMatrix::kDefaultCacheBudgetBytes;
+  /// Φ0 ensemble every node derives from `seed`.
+  cs::MatrixKind matrix_kind = cs::kDefaultMatrixKind;
   /// Fault plan applied to the measurement transmissions. The default is a
   /// perfect network: no injector is attached and the run is bit-identical
   /// to the pre-fault protocol.

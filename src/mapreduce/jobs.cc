@@ -115,11 +115,12 @@ Result<CsJobResult> RunCsOutlierJob(
   }
   obs::TraceSpan job_span(options.telemetry, "job.cs");
 
-  // Mapper-side matrix: implicit (no dense cache). Every mapper generates
-  // the same Φ0 from the consensus seed (Algorithm 3) and only touches the
-  // columns of its non-zero keys, costing O(nnz * M).
+  // Mapper-side matrix: implicit when Gaussian (no dense cache). Every
+  // mapper generates the same Φ0 from the consensus seed (Algorithm 3) and
+  // only touches the columns of its non-zero keys, costing O(nnz * M).
   cs::MeasurementMatrix mapper_matrix(options.m, options.n, options.seed,
-                                      /*cache_budget_bytes=*/0);
+                                      /*cache_budget_bytes=*/0,
+                                      options.matrix_kind);
   cs::Compressor compressor(&mapper_matrix);
   compressor.set_telemetry(options.telemetry);
 
@@ -195,7 +196,8 @@ Result<CsJobResult> RunCsOutlierJob(
       for (double v : groups.values(g)) y[row] += v;
     }
     cs::MeasurementMatrix reducer_matrix(options.m, options.n, options.seed,
-                                         options.cache_budget_bytes);
+                                         options.cache_budget_bytes,
+                                         options.matrix_kind);
     auto answered =
         outlier::Answer(reducer_matrix, y,
                         {.k = options.k,

@@ -56,9 +56,12 @@ struct CsJobOptions {
   size_t k = 5;           ///< Outliers requested.
   uint64_t seed = 1;      ///< Consensus seed for Φ0.
   size_t iterations = 0;  ///< R; 0 = the paper's f(k).
-  /// Dense-cache budget for the *reducer-side* matrix (mappers always use
-  /// the implicit column-regenerated form — they only need O(nnz·M) work).
+  /// Dense-cache budget for the *reducer-side* Gaussian matrix (Gaussian
+  /// mappers always use the implicit column-regenerated form — they only
+  /// need O(nnz·M) work; a sign matrix is always packed).
   size_t cache_budget_bytes = cs::MeasurementMatrix::kDefaultCacheBudgetBytes;
+  /// Φ0 ensemble shared by mappers and the reducer.
+  cs::MatrixKind matrix_kind = cs::kDefaultMatrixKind;
   /// Telemetry sink ("job.cs" span, per-mapper "job.*" rollups; forwarded
   /// to the compressor and BOMP). Null or disabled is free.
   obs::Telemetry* telemetry = nullptr;

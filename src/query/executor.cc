@@ -147,6 +147,7 @@ Result<QueryResult> ExecuteDistributed(
   detector_options.n = n;
   detector_options.m = std::min(options.m, n);
   detector_options.seed = options.seed;
+  detector_options.matrix_kind = options.matrix_kind;
   detector_options.iterations = options.iterations;
   CSOD_ASSIGN_OR_RETURN(
       auto detector, core::DistributedOutlierDetector::Create(detector_options));

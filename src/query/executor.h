@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "cs/measurement_matrix.h"
 #include "query/query.h"
 
 namespace csod::query {
@@ -31,6 +32,8 @@ struct ExecutionOptions {
   uint64_t seed = 42;
   /// BOMP iterations; 0 = the paper's f(k).
   size_t iterations = 0;
+  /// Φ0 ensemble.
+  cs::MatrixKind matrix_kind = cs::kDefaultMatrixKind;
 };
 
 /// One answer row.

@@ -15,7 +15,7 @@ using dist::AppendU8;
 // Payload layout (after the generic [magic][kind][count] envelope header;
 // count = retained epochs):
 //   u64 n, m, seed, window_epochs, num_shards, epoch_ticks
-//   u8  window_kind, started, has_snapshot
+//   u8  window_kind, matrix_kind, started, has_snapshot
 //   u64 current_epoch, version, last_tick
 //   u64 num_epochs
 //   per epoch: u64 events, u32 len, EncodeMeasurement bytes (own checksum)
@@ -36,6 +36,7 @@ Status AppendMessage(std::string* out, const Result<std::string>& message) {
 }  // namespace
 
 Status AppendSnapshotSection(std::string* out, const SketchSnapshot& snapshot) {
+  AppendU8(out, static_cast<uint8_t>(snapshot.matrix_kind));
   AppendU64(out, snapshot.version);
   AppendU64(out, snapshot.last_epoch);
   AppendU64(out, snapshot.first_epoch);
@@ -49,6 +50,9 @@ Status AppendSnapshotSection(std::string* out, const SketchSnapshot& snapshot) {
 
 Status ReadSnapshotSection(dist::PayloadReader* reader,
                            SketchSnapshot* snapshot) {
+  uint8_t kind = 0;
+  CSOD_RETURN_NOT_OK(reader->U8(&kind));
+  CSOD_ASSIGN_OR_RETURN(snapshot->matrix_kind, cs::MatrixKindFromByte(kind));
   CSOD_RETURN_NOT_OK(reader->U64(&snapshot->version));
   CSOD_RETURN_NOT_OK(reader->U64(&snapshot->last_epoch));
   CSOD_RETURN_NOT_OK(reader->U64(&snapshot->first_epoch));
@@ -73,6 +77,7 @@ Result<std::string> EncodeCheckpoint(const StreamingDetectorOptions& options,
   AppendU64(&payload, options.num_shards);
   AppendU64(&payload, options.epoch_ticks);
   AppendU8(&payload, options.window == WindowKind::kTumbling ? 1 : 0);
+  AppendU8(&payload, static_cast<uint8_t>(options.matrix_kind));
   AppendU8(&payload, checkpoint.started ? 1 : 0);
   AppendU8(&payload, checkpoint.snapshot != nullptr ? 1 : 0);
   AppendU64(&payload, checkpoint.current_epoch);
@@ -141,8 +146,11 @@ Result<DecodedCheckpoint> DecodeCheckpoint(const std::string& frame) {
   CSOD_RETURN_NOT_OK(reader.U64(&u));
   decoded.num_shards = static_cast<size_t>(u);
   CSOD_RETURN_NOT_OK(reader.U64(&decoded.epoch_ticks));
-  uint8_t window_kind = 0, started = 0, has_snapshot = 0;
+  uint8_t window_kind = 0, matrix_kind = 0, started = 0, has_snapshot = 0;
   CSOD_RETURN_NOT_OK(reader.U8(&window_kind));
+  CSOD_RETURN_NOT_OK(reader.U8(&matrix_kind));
+  CSOD_ASSIGN_OR_RETURN(decoded.matrix_kind,
+                        cs::MatrixKindFromByte(matrix_kind));
   CSOD_RETURN_NOT_OK(reader.U8(&started));
   CSOD_RETURN_NOT_OK(reader.U8(&has_snapshot));
   decoded.window =
@@ -202,6 +210,12 @@ Result<DecodedCheckpoint> DecodeCheckpoint(const std::string& frame) {
     if (snapshot->y.size() != decoded.m) {
       return Status::InvalidArgument("checkpoint: snapshot y size mismatch");
     }
+    if (snapshot->matrix_kind != decoded.matrix_kind) {
+      return Status::InvalidArgument("checkpoint: snapshot matrix kind " +
+                                     std::string(cs::MatrixKindName(
+                                         snapshot->matrix_kind)) +
+                                     " != checkpoint matrix kind");
+    }
     state.snapshot = std::move(snapshot);
   }
   CSOD_RETURN_NOT_OK(reader.ExpectEnd());
@@ -213,6 +227,7 @@ Result<std::unique_ptr<StreamingDetector>> RestoreDetector(
   CSOD_ASSIGN_OR_RETURN(DecodedCheckpoint decoded, DecodeCheckpoint(frame));
   if (decoded.n != options.n || decoded.m != options.m ||
       decoded.seed != options.seed ||
+      decoded.matrix_kind != options.matrix_kind ||
       decoded.window_epochs != options.window_epochs ||
       decoded.num_shards != options.num_shards ||
       decoded.epoch_ticks != options.epoch_ticks ||
@@ -221,6 +236,7 @@ Result<std::unique_ptr<StreamingDetector>> RestoreDetector(
         "RestoreDetector: checkpoint geometry (n=" + std::to_string(decoded.n) +
         " m=" + std::to_string(decoded.m) +
         " seed=" + std::to_string(decoded.seed) +
+        " matrix=" + cs::MatrixKindName(decoded.matrix_kind) +
         " window=" + std::to_string(decoded.window_epochs) +
         " shards=" + std::to_string(decoded.num_shards) +
         ") does not match the detector options");

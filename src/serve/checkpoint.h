@@ -33,12 +33,13 @@ namespace csod::serve {
 /// as the fetch-checkpoint RPC response).
 inline constexpr uint8_t kCheckpointFrameKind = 24;
 
-/// The snapshot section: u64 version, last_epoch, first_epoch,
-/// epochs_covered, events; the stalled-shard list (dist::AppendU32List);
-/// then `y` as a length-prefixed embedded measurement message. The kind-34
-/// snapshot response and the kind-24 checkpoint both carry it, through
-/// this one writer and reader. Callers check `y`'s length against their
-/// own M.
+/// The snapshot section: u8 matrix kind; u64 version, last_epoch,
+/// first_epoch, epochs_covered, events; the stalled-shard list
+/// (dist::AppendU32List); then `y` as a length-prefixed embedded
+/// measurement message. The kind-34 snapshot response and the kind-24
+/// checkpoint both carry it, through this one writer and reader. An
+/// unknown kind byte is InvalidArgument; callers check the kind and `y`'s
+/// length against their own geometry.
 Status AppendSnapshotSection(std::string* out, const SketchSnapshot& snapshot);
 Status ReadSnapshotSection(dist::PayloadReader* reader,
                            SketchSnapshot* snapshot);
@@ -59,6 +60,7 @@ struct DecodedCheckpoint {
   size_t num_shards = 0;
   uint64_t epoch_ticks = 1;
   WindowKind window = WindowKind::kSliding;
+  cs::MatrixKind matrix_kind = cs::kDefaultMatrixKind;
   DetectorCheckpoint state;
 };
 
@@ -68,8 +70,8 @@ struct DecodedCheckpoint {
 Result<DecodedCheckpoint> DecodeCheckpoint(const std::string& frame);
 
 /// Decodes `frame`, checks its geometry against `options` (same
-/// n/m/seed/window/shards/ticks — a checkpoint only restores the stream it
-/// was taken from), and builds the restored detector. `options` supplies
+/// n/m/seed/matrix kind/window/shards/ticks — a checkpoint only restores
+/// the stream it was taken from), and builds the restored detector. `options` supplies
 /// the runtime-only fields (telemetry sink, solver, cache budget).
 Result<std::unique_ptr<StreamingDetector>> RestoreDetector(
     const std::string& frame, const StreamingDetectorOptions& options);

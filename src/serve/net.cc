@@ -547,7 +547,8 @@ Result<std::string> NetClient::FetchCheckpoint(const std::string& tenant) {
 SnapshotFollower::SnapshotFollower(const SnapshotFollowerOptions& options)
     : options_(options),
       matrix_(std::make_unique<cs::MeasurementMatrix>(
-          options.m, options.n, options.seed, options.cache_budget_bytes)) {}
+          options.m, options.n, options.seed, options.cache_budget_bytes,
+          options.matrix_kind)) {}
 
 Result<std::unique_ptr<SnapshotFollower>> SnapshotFollower::Create(
     const SnapshotFollowerOptions& options) {
@@ -565,6 +566,13 @@ Status SnapshotFollower::ApplySnapshot(const SketchSnapshot& snapshot) {
     return Status::InvalidArgument(
         "ApplySnapshot: y size " + std::to_string(snapshot.y.size()) +
         " != M " + std::to_string(options_.m));
+  }
+  if (snapshot.matrix_kind != options_.matrix_kind) {
+    return Status::InvalidArgument(
+        "ApplySnapshot: snapshot sketched under a " +
+        std::string(cs::MatrixKindName(snapshot.matrix_kind)) +
+        " matrix, follower geometry is " +
+        cs::MatrixKindName(options_.matrix_kind));
   }
   std::lock_guard<std::mutex> lock(mu_);
   // Monotone in version: duplicate or reordered deliveries are no-ops, so

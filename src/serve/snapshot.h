@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "cs/measurement_matrix.h"
+
 namespace csod::serve {
 
 /// \brief An immutable, epoch-versioned window sketch published by a
@@ -24,6 +26,9 @@ namespace csod::serve {
 /// Queries against the latest snapshot are therefore stale by less than
 /// one epoch of ingestion (exactly the current epoch's partial data).
 struct SketchSnapshot {
+  /// The Φ0 ensemble `y` was sketched under: a replica answers from it
+  /// only with a matrix of the same kind.
+  cs::MatrixKind matrix_kind = cs::kDefaultMatrixKind;
   /// Publish counter, strictly increasing per detector (1 = first).
   uint64_t version = 0;
   /// Newest epoch whose data is included.

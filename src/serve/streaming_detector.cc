@@ -48,6 +48,7 @@ Result<std::unique_ptr<StreamingDetector>> StreamingDetector::Create(
   // in-progress epoch still accepting data.
   wopts.window_epochs = options.window_epochs + 1;
   wopts.cache_budget_bytes = options.cache_budget_bytes;
+  wopts.matrix_kind = options.matrix_kind;
   auto detector =
       std::unique_ptr<StreamingDetector>(new StreamingDetector(options));
   CSOD_ASSIGN_OR_RETURN(detector->window_,
@@ -276,11 +277,36 @@ Result<uint64_t> StreamingDetector::AdvanceTo(uint64_t tick) {
   }
   last_tick_ = tick;
   const uint64_t target_epoch = tick / options_.epoch_ticks;
-  if (!started_.load(std::memory_order_relaxed)) AdvanceEpochLocked();
-  while (current_epoch_.load(std::memory_order_relaxed) < target_epoch) {
-    AdvanceEpochLocked();
+  uint64_t epoch = started_.load(std::memory_order_relaxed)
+                       ? current_epoch_.load(std::memory_order_relaxed)
+                       : AdvanceEpochLocked();
+  // After W+1 explicit closes the ring holds only empty epochs, and every
+  // further close until the last W+1 publishes an all-zero window: jump
+  // over those by arithmetic, then close the last W+1 explicitly so the
+  // final snapshot is built exactly as the step-by-step loop builds it.
+  const uint64_t ring = options_.window_epochs + 1;
+  if (target_epoch > epoch && target_epoch - epoch > 2 * ring &&
+      !sim::BuggifyEnabled()) {
+    for (uint64_t i = 0; i < ring; ++i) epoch = AdvanceEpochLocked();
+    epoch = SkipEmptyEpochsLocked(target_epoch - ring - epoch);
   }
+  while (epoch < target_epoch) epoch = AdvanceEpochLocked();
   return current_epoch_.load(std::memory_order_relaxed);
+}
+
+uint64_t StreamingDetector::SkipEmptyEpochsLocked(uint64_t count) {
+  const uint64_t from = current_epoch_.load(std::memory_order_relaxed);
+  const uint64_t to = window_->AdvanceEmptyEpochs(count);
+  // Sliding windows publish at every close once an epoch is closed;
+  // tumbling ones at each close that makes a multiple of W current.
+  const uint64_t w = options_.window_epochs;
+  const uint64_t published = options_.window == WindowKind::kTumbling
+                                 ? to / w - from / w
+                                 : count;
+  version_.fetch_add(published, std::memory_order_relaxed);
+  telemetry_->AddCounter("serve.epochs", count);
+  if (published > 0) telemetry_->AddCounter("serve.snapshots", published);
+  return to;
 }
 
 uint64_t StreamingDetector::AdvanceEpoch() {
@@ -334,6 +360,7 @@ void StreamingDetector::PublishLocked(uint64_t epoch) {
 
   auto snapshot = std::make_shared<SketchSnapshot>();
   const size_t covered = epoch_events_.size() - 1;
+  snapshot->matrix_kind = options_.matrix_kind;
   snapshot->version = version_.fetch_add(1, std::memory_order_relaxed) + 1;
   snapshot->last_epoch = epoch - 1;
   snapshot->first_epoch =

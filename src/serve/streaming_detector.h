@@ -50,6 +50,9 @@ struct StreamingDetectorOptions {
   /// Virtual-clock ticks per epoch (AdvanceTo closes an epoch every
   /// `epoch_ticks` ticks).
   uint64_t epoch_ticks = 1;
+  /// Φ0 ensemble — geometry, like n/m/seed: checkpoints carry it and
+  /// refuse to restore under another kind.
+  cs::MatrixKind matrix_kind = cs::kDefaultMatrixKind;
   size_t cache_budget_bytes = cs::MeasurementMatrix::kDefaultCacheBudgetBytes;
   /// Telemetry sink ("serve.*" metrics; docs/STREAMING.md names them all).
   /// Null means disabled.
@@ -177,7 +180,12 @@ class StreamingDetector {
   /// Moves the virtual clock to `tick` (monotone), closing an epoch at
   /// every multiple of `epoch_ticks` crossed and publishing snapshots per
   /// the window kind. The first call opens epoch 0. Returns the current
-  /// epoch index after the move.
+  /// epoch index after the move. Cost is O(W·M), not O(epochs crossed):
+  /// past the first W+1 closes every crossed epoch is empty, so the clock
+  /// jumps by arithmetic to W+1 epochs short of the target and closes the
+  /// rest explicitly — versions, provenance and the published snapshot are
+  /// bit-identical to closing every epoch in turn. (Under Buggify every
+  /// epoch is closed in turn, so per-epoch fault sections keep firing.)
   Result<uint64_t> AdvanceTo(uint64_t tick);
 
   /// Closes the current epoch (publishing per the window kind) and opens
@@ -226,6 +234,12 @@ class StreamingDetector {
 
   // All Locked methods require ingest_mu_.
   uint64_t AdvanceEpochLocked();
+  // Closes `count` epochs in O(W·M) when every epoch in the ring is already
+  // empty (AdvanceTo's jump): the version and the serve.epochs /
+  // serve.snapshots counters move by what `count` step-by-step closes would
+  // publish; the published (snapshot, current epoch) pair is left for the
+  // explicit closes that follow. Returns the window's epoch index.
+  uint64_t SkipEmptyEpochsLocked(uint64_t count);
   // Publishes the snapshot closing `epoch - 1` and makes `epoch` current
   // under the same snapshot_mu_ critical section.
   void PublishLocked(uint64_t epoch);

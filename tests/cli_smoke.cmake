@@ -54,6 +54,20 @@ if(NOT exact_out MATCHES "${amp_top_key}")
           "amp top key '${amp_top_key}' not in exact reference:\n${exact_out}")
 endif()
 
+# The paper's Gaussian Φ0 stays selectable and agrees on the top key.
+execute_process(
+  COMMAND "${CSOD_CLI}" detect --in=${events} --m=250 --k=3 --iterations=20
+          --matrix=gaussian
+  RESULT_VARIABLE gaussian_result OUTPUT_VARIABLE gaussian_out)
+if(NOT gaussian_result EQUAL 0 OR NOT gaussian_out MATCHES "matrix: gaussian")
+  message(FATAL_ERROR "csod detect --matrix=gaussian failed: ${gaussian_out}")
+endif()
+string(REGEX MATCH "key [0-9]+" gaussian_top_key "${gaussian_out}")
+if(NOT exact_out MATCHES "${gaussian_top_key}")
+  message(FATAL_ERROR
+          "gaussian top key '${gaussian_top_key}' not in exact reference")
+endif()
+
 # An unknown solver name must fail loudly, not fall back silently.
 execute_process(
   COMMAND "${CSOD_CLI}" detect --in=${events} --solver=lasso

@@ -150,6 +150,17 @@ std::vector<SparseSlice> MakeBatch(size_t n, uint64_t seed) {
   return slices;
 }
 
+// Gaussian cached, Gaussian implicit (budget 0) and packed sign storage.
+struct MatrixStorage {
+  size_t budget;
+  MatrixKind kind;
+};
+constexpr MatrixStorage kStorages[] = {
+    {size_t{1} << 24, MatrixKind::kGaussian},
+    {0, MatrixKind::kGaussian},
+    {0, MatrixKind::kSign},
+};
+
 // The per-node reference: Compress each slice, then AggregateMeasurements.
 std::vector<double> PerNodeReference(const Compressor& compressor,
                                      const std::vector<SparseSlice>& slices) {
@@ -167,22 +178,25 @@ std::vector<double> PerNodeReference(const Compressor& compressor,
 TEST(CompressorTest, CompressAccumulateMatchesPerNodeAggregateBitwise) {
   const size_t n = 4000;
   const std::vector<SparseSlice> slices = MakeBatch(n, 77);
-  // Cached and implicit matrices must both match their per-node paths.
-  for (size_t budget : {size_t{1} << 24, size_t{0}}) {
-    MeasurementMatrix matrix(64, n, 9, budget);
+  // Every storage mode must match its per-node path.
+  for (const MatrixStorage& storage : kStorages) {
+    const size_t budget = storage.budget;
+    MeasurementMatrix matrix(64, n, 9, budget, storage.kind);
     Compressor compressor(&matrix);
     const std::vector<double> reference = PerNodeReference(compressor, slices);
     std::vector<double> batched;
     ASSERT_TRUE(compressor.CompressAccumulate(slices, &batched).ok());
-    EXPECT_EQ(batched, reference) << "budget=" << budget;
+    EXPECT_EQ(batched, reference)
+        << MatrixKindName(storage.kind) << " budget=" << budget;
   }
 }
 
 TEST(CompressorTest, CompressAccumulateBitIdenticalAcrossLimitsAndLevels) {
   const size_t n = 4000;
   const std::vector<SparseSlice> slices = MakeBatch(n, 31);
-  for (size_t budget : {size_t{1} << 24, size_t{0}}) {
-    MeasurementMatrix matrix(64, n, 9, budget);
+  for (const MatrixStorage& storage : kStorages) {
+    const size_t budget = storage.budget;
+    MeasurementMatrix matrix(64, n, 9, budget, storage.kind);
     Compressor compressor(&matrix);
 
     // Reference: serial, portable SIMD, per-node path.
@@ -200,7 +214,8 @@ TEST(CompressorTest, CompressAccumulateBitIdenticalAcrossLimitsAndLevels) {
         std::vector<double> batched;
         ASSERT_TRUE(compressor.CompressAccumulate(slices, &batched).ok());
         EXPECT_EQ(batched, reference)
-            << "budget=" << budget << " limit=" << limit
+            << MatrixKindName(storage.kind) << " budget=" << budget
+            << " limit=" << limit
             << " level=" << simd::LevelName(simd::ActiveLevel());
       }
     }
@@ -238,8 +253,9 @@ TEST(CompressorTest, CompressEachMatchesPerSliceCompressBitwise) {
   const std::vector<SparseSlice> slices = MakeBatch(n, 13);
   std::vector<const SparseSlice*> views;
   for (const auto& slice : slices) views.push_back(&slice);
-  for (size_t budget : {size_t{1} << 24, size_t{0}}) {
-    MeasurementMatrix matrix(64, n, 9, budget);
+  for (const MatrixStorage& storage : kStorages) {
+    const size_t budget = storage.budget;
+    MeasurementMatrix matrix(64, n, 9, budget, storage.kind);
     Compressor compressor(&matrix);
     auto each = compressor.CompressEach(views);
     ASSERT_TRUE(each.ok());
@@ -247,8 +263,9 @@ TEST(CompressorTest, CompressEachMatchesPerSliceCompressBitwise) {
     for (size_t l = 0; l < slices.size(); ++l) {
       auto y = compressor.Compress(slices[l]);
       ASSERT_TRUE(y.ok());
-      EXPECT_EQ(each.Value()[l], y.Value()) << "budget=" << budget
-                                            << " slice=" << l;
+      EXPECT_EQ(each.Value()[l], y.Value())
+          << MatrixKindName(storage.kind) << " budget=" << budget
+          << " slice=" << l;
     }
   }
 }

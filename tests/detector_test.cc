@@ -223,12 +223,47 @@ TEST(DetectorTest, SaveLoadRoundTrip) {
   EXPECT_EQ(restored->global_measurement(), original->global_measurement());
 }
 
-// Header of a detector-checkpoint payload: n, m, seed, iterations.
+TEST(DetectorTest, LoadRefusesAnotherMatrixKind) {
+  // The matrix kind is geometry: a sketch taken under one Φ0 means nothing
+  // under the other, so Load into the wrong kind is refused either way.
+  const std::vector<double> global = TestGlobal();
+  for (cs::MatrixKind kind :
+       {cs::MatrixKind::kGaussian, cs::MatrixKind::kSign}) {
+    DetectorOptions options = SmallOptions();
+    options.matrix_kind = kind;
+    auto original = DistributedOutlierDetector::Create(options).MoveValue();
+    for (const auto& slice : MakeSlices(global, 3, 7)) {
+      ASSERT_TRUE(original->AddSource(slice).ok());
+    }
+    const std::string frame = original->Save().MoveValue();
+
+    auto restored = DistributedOutlierDetector::Load(frame).MoveValue();
+    EXPECT_EQ(restored->options().matrix_kind, kind);
+    EXPECT_EQ(restored->matrix().kind(), kind);
+    EXPECT_EQ(restored->Detect(5).Value().outliers[0].value,
+              original->Detect(5).Value().outliers[0].value);
+    ASSERT_TRUE(DistributedOutlierDetector::Load(frame, &options).ok());
+
+    DetectorOptions other = options;
+    other.matrix_kind = kind == cs::MatrixKind::kSign
+                            ? cs::MatrixKind::kGaussian
+                            : cs::MatrixKind::kSign;
+    EXPECT_EQ(DistributedOutlierDetector::Load(frame, &other).status().code(),
+              StatusCode::kInvalidArgument);
+    other = options;
+    other.seed = 12;
+    EXPECT_EQ(DistributedOutlierDetector::Load(frame, &other).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+}
+
+// Header of a detector-checkpoint payload: n, m, seed, iterations, kind.
 std::string CheckpointHeader(uint64_t n, uint64_t m) {
   std::string payload;
   for (uint64_t v : {n, m, uint64_t{11}, uint64_t{24}}) {
     dist::AppendU64(&payload, v);
   }
+  dist::AppendU8(&payload, static_cast<uint8_t>(cs::kDefaultMatrixKind));
   return payload;
 }
 
@@ -293,6 +328,14 @@ TEST(DetectorTest, LoadRejectsOverflowingDimensions) {
       dist::EncodeFrame(dist::kDetectorCheckpointFrameKind, 0,
                         CheckpointHeader(1, uint64_t{1} << 60));
   EXPECT_EQ(DistributedOutlierDetector::Load(wide).status().code(),
+            StatusCode::kInvalidArgument);
+
+  // m·n·8 fits and m <= n, but the packed sign matrix the header asks for
+  // (2^30 x 2^30 bits = 128 PiB) is refused before anything is allocated.
+  const std::string huge =
+      dist::EncodeFrame(dist::kDetectorCheckpointFrameKind, 0,
+                        CheckpointHeader(uint64_t{1} << 30, uint64_t{1} << 30));
+  EXPECT_EQ(DistributedOutlierDetector::Load(huge).status().code(),
             StatusCode::kInvalidArgument);
 }
 

@@ -64,9 +64,11 @@ TEST(MeasurementMatrixTest, DifferentSeedsDiffer) {
 }
 
 TEST(MeasurementMatrixTest, CachedEqualsImplicit) {
-  MeasurementMatrix cached(16, 32, 5,
-                           /*cache_budget_bytes=*/1 << 20);
-  MeasurementMatrix implicit(16, 32, 5, /*cache_budget_bytes=*/0);
+  // Only the Gaussian kind has an implicit (regenerated) form.
+  MeasurementMatrix cached(16, 32, 5, /*cache_budget_bytes=*/1 << 20,
+                           MatrixKind::kGaussian);
+  MeasurementMatrix implicit(16, 32, 5, /*cache_budget_bytes=*/0,
+                             MatrixKind::kGaussian);
   ASSERT_TRUE(cached.cached());
   ASSERT_FALSE(implicit.cached());
   for (size_t i = 0; i < 16; ++i) {
@@ -78,8 +80,10 @@ TEST(MeasurementMatrixTest, CachedEqualsImplicit) {
 
 TEST(MeasurementMatrixTest, CacheBudgetRespected) {
   // 16*32*8 = 4096 bytes; a 1000-byte budget must stay implicit.
-  MeasurementMatrix small_budget(16, 32, 5, 1000);
+  MeasurementMatrix small_budget(16, 32, 5, 1000, MatrixKind::kGaussian);
   EXPECT_FALSE(small_budget.cached());
+  // The packed sign matrix (16 x 32 bits = 256 bytes) is always stored.
+  EXPECT_TRUE(MeasurementMatrix(16, 32, 5, 0, MatrixKind::kSign).cached());
 }
 
 TEST(MeasurementMatrixTest, RowPrefixProperty) {
@@ -87,14 +91,24 @@ TEST(MeasurementMatrixTest, RowPrefixProperty) {
   // (entry (i, j) depends only on (seed, j, i), never on M) — modulo the
   // 1/sqrt(M) scaling. This is what lets the adaptive protocol request
   // additional measurement rows without re-transmitting the old ones.
-  MeasurementMatrix short_matrix(8, 24, 99);
-  MeasurementMatrix tall_matrix(32, 24, 99);
-  const double rescale = std::sqrt(8.0) / std::sqrt(32.0);
-  for (size_t i = 0; i < 8; ++i) {
+  // Holds for both kinds; the sign kind's heights straddle a 64-row word.
+  for (MatrixKind kind : {MatrixKind::kGaussian, MatrixKind::kSign}) {
+    MeasurementMatrix short_matrix(8, 24, 99, 1 << 20, kind);
+    MeasurementMatrix tall_matrix(100, 24, 99, 1 << 20, kind);
+    const double rescale = std::sqrt(8.0) / std::sqrt(100.0);
+    for (size_t i = 0; i < 8; ++i) {
+      for (size_t j = 0; j < 24; ++j) {
+        EXPECT_DOUBLE_EQ(short_matrix.Entry(i, j) * rescale,
+                         tall_matrix.Entry(i, j))
+            << MatrixKindName(kind) << " " << i << "," << j;
+      }
+    }
+  }
+  MeasurementMatrix mid(70, 24, 99, 0, MatrixKind::kSign);
+  MeasurementMatrix tall(130, 24, 99, 0, MatrixKind::kSign);
+  for (size_t i = 0; i < 70; ++i) {
     for (size_t j = 0; j < 24; ++j) {
-      EXPECT_DOUBLE_EQ(short_matrix.Entry(i, j) * rescale,
-                       tall_matrix.Entry(i, j))
-          << i << "," << j;
+      EXPECT_EQ(mid.Entry(i, j) > 0, tall.Entry(i, j) > 0) << i << "," << j;
     }
   }
 }
@@ -102,7 +116,7 @@ TEST(MeasurementMatrixTest, RowPrefixProperty) {
 TEST(MeasurementMatrixTest, EntryVariance) {
   // Entries are N(0, 1/M): empirical variance over many entries ~ 1/M.
   const size_t m = 64;
-  MeasurementMatrix matrix(m, 512, 99);
+  MeasurementMatrix matrix(m, 512, 99, 1 << 20, MatrixKind::kGaussian);
   double sum = 0.0;
   double sum_sq = 0.0;
   size_t count = 0;
@@ -122,7 +136,7 @@ TEST(MeasurementMatrixTest, EntryVariance) {
 
 TEST(MeasurementMatrixTest, ColumnUnitNormInExpectation) {
   // E||column||^2 = M * 1/M = 1.
-  MeasurementMatrix matrix(128, 64, 3);
+  MeasurementMatrix matrix(128, 64, 3, 1 << 20, MatrixKind::kGaussian);
   double total = 0.0;
   for (size_t j = 0; j < 64; ++j) {
     total += la::Norm2Squared(matrix.Column(j));
@@ -178,8 +192,9 @@ TEST(MeasurementMatrixTest, CorrelateAllMatchesColumnDots) {
 }
 
 TEST(MeasurementMatrixTest, CorrelateImplicitMatchesCached) {
-  MeasurementMatrix cached(10, 20, 13);
-  MeasurementMatrix implicit(10, 20, 13, /*cache_budget_bytes=*/0);
+  MeasurementMatrix cached(10, 20, 13, 1 << 20, MatrixKind::kGaussian);
+  MeasurementMatrix implicit(10, 20, 13, /*cache_budget_bytes=*/0,
+                             MatrixKind::kGaussian);
   std::vector<double> r(10);
   Rng rng(3);
   for (double& v : r) v = rng.NextGaussian();
@@ -212,8 +227,11 @@ CorrelateArgmaxResult ScanArgmax(const MeasurementMatrix& matrix,
 TEST(MeasurementMatrixTest, CorrelateArgmaxMatchesScan) {
   // n = 600 exercises the 4-wide register-blocked path plus remainder
   // columns; masks carve unaligned holes into the 4-column batches.
-  for (const size_t budget : {size_t{1} << 24, size_t{0}}) {
-    MeasurementMatrix matrix(24, 600, 17, budget);
+  for (const size_t budget : {size_t{1} << 24, size_t{0}, size_t{1}}) {
+    // budget 1 selects the packed sign kind.
+    MeasurementMatrix matrix(
+        24, 600, 17, budget,
+        budget == 1 ? MatrixKind::kSign : MatrixKind::kGaussian);
     Rng rng(29);
     std::vector<double> r(24);
     for (double& v : r) v = rng.NextGaussian();
@@ -289,8 +307,10 @@ TEST(MeasurementMatrixTest, MultiplySparseDuplicateIndicesAccumulate) {
 TEST(MeasurementMatrixTest, CorrelateImplicitMatchesCachedBitwise) {
   // Both paths dot the same pre-scaled column bits through the same
   // canonical lane split, so cached vs implicit is exact, not approximate.
-  MeasurementMatrix cached(24, 600, 13);
-  MeasurementMatrix implicit(24, 600, 13, /*cache_budget_bytes=*/0);
+  MeasurementMatrix cached(24, 600, 13, size_t{1} << 24,
+                           MatrixKind::kGaussian);
+  MeasurementMatrix implicit(24, 600, 13, /*cache_budget_bytes=*/0,
+                             MatrixKind::kGaussian);
   std::vector<double> r(24);
   Rng rng(3);
   for (double& v : r) v = rng.NextGaussian();
@@ -318,8 +338,12 @@ TEST(MeasurementMatrixTest, KernelsBitIdenticalAcrossLimitsAndLevels) {
   std::vector<double> r(m);
   for (double& v : r) v = rng.NextGaussian();
 
-  for (const size_t budget : {size_t{1} << 24, size_t{0}}) {
-    MeasurementMatrix matrix(m, n, 17, budget);
+  // Gaussian cached, Gaussian implicit, and the packed sign kind (its
+  // budget is ignored).
+  for (const size_t budget : {size_t{1} << 24, size_t{0}, size_t{1}}) {
+    MeasurementMatrix matrix(
+        m, n, 17, budget,
+        budget == 1 ? MatrixKind::kSign : MatrixKind::kGaussian);
 
     std::vector<double> ref_multiply, ref_sparse, ref_correlate, ref_bias;
     CorrelateArgmaxResult ref_argmax;
@@ -339,7 +363,8 @@ TEST(MeasurementMatrixTest, KernelsBitIdenticalAcrossLimitsAndLevels) {
         ScopedParallelismLimit scoped_limit(limit);
         ScopedSimdLevel scoped_level(level);
         const auto label = [&] {
-          return "budget=" + std::to_string(budget) +
+          return std::string(MatrixKindName(matrix.kind())) +
+                 " budget=" + std::to_string(budget) +
                  " limit=" + std::to_string(limit) + " level=" +
                  std::string(simd::LevelName(simd::ActiveLevel()));
         };
@@ -362,7 +387,8 @@ TEST(MeasurementMatrixTest, MultiplySparseBatchTinyScratchMatchesPerSlice) {
   // implicit batch kernel through many generation waves; every wave split
   // must leave the per-slice and summed bits untouched.
   const size_t m = 16, n = 2000;
-  MeasurementMatrix implicit(m, n, 23, /*cache_budget_bytes=*/0);
+  MeasurementMatrix implicit(m, n, 23, /*cache_budget_bytes=*/0,
+                             MatrixKind::kGaussian);
   Rng rng(9);
   std::vector<SparseVectorView> views;
   std::vector<std::vector<size_t>> idx(4);
@@ -422,6 +448,118 @@ TEST(MeasurementMatrixTest, BiasColumnIsScaledColumnSum) {
     double sum = 0.0;
     for (size_t j = 0; j < 9; ++j) sum += matrix.Entry(i, j);
     EXPECT_NEAR(phi0[i], sum / std::sqrt(9.0), 1e-12);
+  }
+}
+
+TEST(MeasurementMatrixTest, MatrixKindNamesAndBytesRoundTrip) {
+  for (MatrixKind kind : {MatrixKind::kGaussian, MatrixKind::kSign}) {
+    EXPECT_EQ(ParseMatrixKind(MatrixKindName(kind)).Value(), kind);
+    EXPECT_EQ(MatrixKindFromByte(static_cast<uint8_t>(kind)).Value(), kind);
+  }
+  EXPECT_EQ(MeasurementMatrix(4, 4, 1).kind(), kDefaultMatrixKind);
+  EXPECT_FALSE(ParseMatrixKind("bernoulli").ok());
+  EXPECT_EQ(MatrixKindFromByte(2).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(MeasurementMatrixTest, SignEntriesArePlusMinusInvSqrtM) {
+  const size_t m = 100;  // Two words per column, the second partial.
+  MeasurementMatrix matrix(m, 300, 5, 0, MatrixKind::kSign);
+  const double c = 1.0 / std::sqrt(100.0);
+  size_t negatives = 0;
+  std::vector<double> column(m);
+  for (size_t j = 0; j < 300; ++j) {
+    matrix.FillColumn(j, column.data());
+    for (size_t i = 0; i < m; ++i) {
+      ASSERT_TRUE(matrix.Entry(i, j) == c || matrix.Entry(i, j) == -c);
+      EXPECT_EQ(column[i], matrix.Entry(i, j));
+      negatives += matrix.Entry(i, j) < 0;
+    }
+    EXPECT_NEAR(la::Norm2Squared(column), 1.0, 1e-12);  // Exactly unit.
+  }
+  // Fair signs: 30000 draws, 5 sigma is ~433.
+  EXPECT_NEAR(static_cast<double>(negatives), 15000.0, 433.0);
+}
+
+TEST(MeasurementMatrixTest, SignKernelsMatchColumnReference) {
+  // Sketching is exact signed adds, so it is bit-identical to the Axpy
+  // reference over the materialized ±1/√M columns; correlation sums table
+  // lookups in its own fixed order, so it matches the column dots to
+  // rounding. m = 70 leaves a partial 8-row group and a partial word.
+  const size_t m = 70, n = 4500;
+  MeasurementMatrix matrix(m, n, 31, 0, MatrixKind::kSign);
+  Rng rng(12);
+  std::vector<double> x(n, 0.0);
+  for (size_t j = 0; j < n; j += 2) x[j] = rng.NextGaussian();
+  std::vector<double> r(m);
+  for (double& v : r) v = rng.NextGaussian();
+
+  std::vector<double> column(m);
+  std::vector<double> bias(m, 0.0);
+  std::vector<double> multiply(m, 0.0);
+  std::vector<double> reference_block(m, 0.0);
+  const auto correlations = matrix.CorrelateAll(r).MoveValue();
+  for (size_t j = 0; j < n; ++j) {
+    matrix.FillColumn(j, column.data());
+    for (size_t i = 0; i < m; ++i) bias[i] += column[i];
+    EXPECT_NEAR(correlations[j], la::Dot(column, r), 1e-12) << j;
+    // The Multiply reference keeps the fixed 2048-column block split.
+    if (x[j] != 0.0) simd::Axpy(reference_block.data(), column.data(), x[j], m);
+    if ((j + 1) % 2048 == 0 || j + 1 == n) {
+      simd::Add(multiply.data(), reference_block.data(), m);
+      reference_block.assign(m, 0.0);
+    }
+  }
+  EXPECT_EQ(matrix.Multiply(x).Value(), multiply);
+  const std::vector<double> phi0 = matrix.BiasColumn();
+  for (size_t i = 0; i < m; ++i) {
+    EXPECT_NEAR(phi0[i], bias[i] / std::sqrt(double(n)), 1e-12) << i;
+  }
+
+  std::vector<size_t> idx = {3, 17, 3, 4499, 250};
+  std::vector<double> val = {2.5, -1.0, 1.5, 7.0, -0.25};
+  std::vector<double> sparse(m, 0.0);
+  for (size_t k = 0; k < idx.size(); ++k) {
+    matrix.FillColumn(idx[k], column.data());
+    simd::Axpy(sparse.data(), column.data(), val[k], m);
+  }
+  EXPECT_EQ(matrix.MultiplySparse(idx, val).Value(), sparse);
+}
+
+TEST(MeasurementMatrixTest, SignBatchMatchesPerSliceAndAggregate) {
+  // MultiplySparseBatch ≡ per-slice MultiplySparse ≡ their slice-order sum
+  // on the packed kind, at every thread limit and SIMD level.
+  const size_t m = 40, n = 3000;
+  MeasurementMatrix matrix(m, n, 8, 0, MatrixKind::kSign);
+  Rng rng(4);
+  std::vector<std::vector<size_t>> idx(5);
+  std::vector<std::vector<double>> val(5);
+  std::vector<SparseVectorView> views;
+  for (size_t l = 0; l < 5; ++l) {
+    const size_t nnz = l == 2 ? 0 : 300 + 250 * l;
+    for (size_t k = 0; k < nnz; ++k) {
+      idx[l].push_back((k * 11 + 7 * l) % n);
+      val[l].push_back(rng.NextGaussian());
+    }
+    views.push_back(SparseVectorView{idx[l].data(), val[l].data(), nnz});
+  }
+  std::vector<double> expected_sum(m, 0.0), expected_per;
+  for (size_t l = 0; l < 5; ++l) {
+    const auto y = matrix.MultiplySparse(idx[l], val[l]).MoveValue();
+    expected_per.insert(expected_per.end(), y.begin(), y.end());
+    simd::Add(expected_sum.data(), y.data(), m);
+  }
+  for (const size_t limit : {size_t{1}, size_t{2}, size_t{8}}) {
+    for (simd::Level level : {simd::Level::kPortable, simd::Level::kAvx2}) {
+      ScopedParallelismLimit scoped_limit(limit);
+      ScopedSimdLevel scoped_level(level);
+      std::vector<double> sum, per, sum_only;
+      ASSERT_TRUE(matrix.MultiplySparseBatch(views, &sum, &per).ok());
+      ASSERT_TRUE(matrix.MultiplySparseBatch(views, &sum_only).ok());
+      EXPECT_EQ(sum, expected_sum) << limit;
+      EXPECT_EQ(sum_only, expected_sum) << limit;
+      EXPECT_EQ(per, expected_per) << limit;
+    }
   }
 }
 

@@ -134,17 +134,22 @@ TEST_F(ParallelTest, MatrixKernelsIdenticalAtAnyThreadCount) {
     r[i] = std::sin(static_cast<double>(i) + 1.0);
   }
 
-  SetParallelismLimit(1);
-  cs::MeasurementMatrix serial(64, 3000, 7);
-  auto serial_corr = serial.CorrelateAll(r).MoveValue();
+  for (cs::MatrixKind kind :
+       {cs::MatrixKind::kGaussian, cs::MatrixKind::kSign}) {
+    const size_t budget = cs::MeasurementMatrix::kDefaultCacheBudgetBytes;
+    SetParallelismLimit(1);
+    cs::MeasurementMatrix serial(64, 3000, 7, budget, kind);
+    auto serial_corr = serial.CorrelateAll(r).MoveValue();
 
-  SetParallelismLimit(4);
-  cs::MeasurementMatrix parallel(64, 3000, 7);
-  auto parallel_corr = parallel.CorrelateAll(r).MoveValue();
+    SetParallelismLimit(4);
+    cs::MeasurementMatrix parallel(64, 3000, 7, budget, kind);
+    auto parallel_corr = parallel.CorrelateAll(r).MoveValue();
 
-  EXPECT_EQ(serial_corr, parallel_corr);  // Bitwise.
-  for (size_t j = 0; j < 3000; j += 371) {
-    EXPECT_EQ(serial.Column(j), parallel.Column(j)) << "column " << j;
+    EXPECT_EQ(serial_corr, parallel_corr) << cs::MatrixKindName(kind);
+    for (size_t j = 0; j < 3000; j += 371) {
+      EXPECT_EQ(serial.Column(j), parallel.Column(j))
+          << cs::MatrixKindName(kind) << " column " << j;
+    }
   }
 }
 

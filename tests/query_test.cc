@@ -146,6 +146,10 @@ TEST(QueryExecutorTest, TopQueryRanksByValue) {
   ExecutionOptions options;
   options.m = 4;
   options.iterations = 4;
+  // M = N = 4 asks for exact recovery from a square Φ0. A Gaussian one is
+  // invertible almost surely; a 4 x 4 ±1 matrix is singular with
+  // probability ~0.37, so the sign kind carries no such guarantee here.
+  options.matrix_kind = cs::MatrixKind::kGaussian;
   auto result = ExecuteDistributed(query, tables, options).MoveValue();
   ASSERT_EQ(result.rows.size(), 2u);
   EXPECT_EQ(result.rows[0].group_key, "c");

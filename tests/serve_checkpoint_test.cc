@@ -317,6 +317,17 @@ TEST(CheckpointTest, GeometryMismatchIsRefused) {
   wrong = options;
   wrong.window_epochs = 5;
   EXPECT_FALSE(RestoreDetector(frame, wrong).ok());
+  // The matrix kind is geometry too, in both directions.
+  wrong = options;
+  wrong.matrix_kind = cs::MatrixKind::kGaussian;
+  EXPECT_EQ(RestoreDetector(frame, wrong).status().code(),
+            StatusCode::kInvalidArgument);
+  auto gaussian = BuildMidStream(wrong);
+  const std::string gaussian_frame =
+      EncodeCheckpoint(wrong, gaussian->CheckpointState()).MoveValue();
+  EXPECT_TRUE(RestoreDetector(gaussian_frame, wrong).ok());
+  EXPECT_EQ(RestoreDetector(gaussian_frame, options).status().code(),
+            StatusCode::kInvalidArgument);
   // Runtime-only knobs (solver, iterations, telemetry) may differ freely.
   auto runtime = options;
   runtime.iterations = 20;

@@ -7,6 +7,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -133,6 +134,23 @@ TEST(NetServerTest, RejectsGarbageAndUnknownKinds) {
       small.HandleFrame(dist::EncodeFrame(17, 0, std::string(64, 'x')));
   EXPECT_EQ(dist::DecodeFrame(refused).MoveValue().kind,
             static_cast<uint8_t>(NetFrameKind::kError));
+}
+
+// A 34-byte advance frame to tick 2^62 is answered promptly: the clock
+// jumps over the empty epochs instead of closing each one under the
+// tenant's ingest mutex.
+TEST(NetServerTest, HugeAdvanceTickIsAnsweredPromptly) {
+  Rig rig;
+  const std::string advance =
+      EncodeAdvanceRequest("t", uint64_t{1} << 62).MoveValue();
+  EXPECT_EQ(advance.size(), 34u);
+  const auto start = std::chrono::steady_clock::now();
+  const std::string response = rig.server.HandleFrame(advance);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
+  EXPECT_EQ(dist::DecodeFrame(response).MoveValue().kind,
+            static_cast<uint8_t>(NetFrameKind::kAck));
+  EXPECT_EQ(rig.tenant()->current_epoch(),
+            (uint64_t{1} << 62) / rig.tenant()->options().epoch_ticks);
 }
 
 // A checksum-valid ingest request whose embedded key-value message claims
@@ -451,6 +469,13 @@ TEST(SnapshotFollowerTest, ApplyIsMonotoneAndValidates) {
   EXPECT_EQ(follower->ApplySnapshot(bad).code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(follower->Snapshot()->version, 2u);
+  // So is one sketched under the other matrix kind.
+  SketchSnapshot other_kind = v1;
+  other_kind.version = 4;
+  other_kind.matrix_kind = cs::MatrixKind::kGaussian;
+  EXPECT_EQ(follower->ApplySnapshot(other_kind).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(follower->Snapshot()->version, 2u);
 }
 
 // Byte-layout pin: a fixed instance of every request kind (16–20), every
@@ -501,8 +526,8 @@ TEST(NetCodecTest, GoldenFrameDigestsArePinned) {
 
   const std::vector<std::pair<uint8_t, uint64_t>> want = {
       {32, 0xbf004028eed234c2ULL}, {32, 0xece206cfbe86312dULL},
-      {33, 0x8353f092064ce1abULL}, {34, 0xe427503de7814425ULL},
-      {24, 0xf9baa110c3c46c82ULL}, {35, 0x4c77933a0d63ef77ULL},
+      {33, 0x430ee23344feed56ULL}, {34, 0xb357e131569c701cULL},
+      {24, 0x8c2bd2a7de624d22ULL}, {35, 0x4c77933a0d63ef77ULL},
       {36, 0x72632feaef80b80eULL}, {16, 0x46671c4c424bca3aULL},
       {17, 0xd757344b33aee50dULL}, {18, 0x5b1df88e7ce52220ULL},
       {19, 0x6f27280ac7f7cff2ULL}, {20, 0x3563eb3d5effcaf5ULL},

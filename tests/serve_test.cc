@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <random>
@@ -15,6 +16,7 @@
 #include "common/parallel.h"
 #include "core/windowed_detector.h"
 #include "obs/telemetry.h"
+#include "serve/checkpoint.h"
 
 namespace csod::serve {
 namespace {
@@ -354,6 +356,108 @@ TEST(StreamingDetectorTest, AdvanceToDrivesEpochsFromTicks) {
   EXPECT_FALSE(detector->AdvanceTo(34).ok());   // Clock went backwards.
 }
 
+// A detector fed `batches` at ticks 0, ticks, 2·ticks, ... with shard 1
+// stalled after the first batch — live data, a backlog and a stall list
+// for the clock jumps below to carry.
+std::unique_ptr<StreamingDetector> FedDetector(
+    const StreamingDetectorOptions& options, const std::vector<Batch>& batches,
+    obs::Telemetry* telemetry) {
+  auto with_sink = options;
+  with_sink.telemetry = telemetry;
+  auto detector = StreamingDetector::Create(with_sink).MoveValue();
+  for (size_t b = 0; b < batches.size(); ++b) {
+    EXPECT_TRUE(detector->AdvanceTo(b * options.epoch_ticks).ok());
+    EXPECT_TRUE(
+        detector->IngestBatch(batches[b].keys, batches[b].deltas).ok());
+    if (b == 0) {
+      EXPECT_TRUE(detector->SetShardStalled(1, true).ok());
+    }
+  }
+  return detector;
+}
+
+// The arithmetic jump in AdvanceTo against closing one epoch per call:
+// same version, same snapshot (provenance and y bytes), same checkpoint
+// bytes and the same epoch/snapshot counters, for both window kinds,
+// several window lengths and jumps on either side of the 2(W+1) cut-over.
+TEST(StreamingDetectorTest, AdvanceToJumpEqualsStepByStep) {
+  const auto batches = SeededBatches(3, 400, /*seed=*/8);
+  for (WindowKind window : {WindowKind::kSliding, WindowKind::kTumbling}) {
+    for (size_t w : {size_t{1}, size_t{2}, size_t{3}}) {
+      auto options = SmallOptions(w);
+      options.window = window;
+      options.epoch_ticks = 4;
+      const uint64_t ring = w + 1;
+      for (uint64_t jump : {uint64_t{1}, uint64_t{3}, 2 * ring, 2 * ring + 1,
+                            uint64_t{17}, uint64_t{40}}) {
+        obs::Telemetry jumped_sink, stepped_sink;
+        auto jumped = FedDetector(options, batches, &jumped_sink);
+        auto stepped = FedDetector(options, batches, &stepped_sink);
+        const uint64_t from = jumped->current_epoch();
+        const uint64_t tick = (from + jump) * options.epoch_ticks + 1;
+        ASSERT_EQ(jumped->AdvanceTo(tick).MoveValue(), from + jump);
+        for (uint64_t e = from + 1; e <= from + jump; ++e) {
+          ASSERT_EQ(stepped->AdvanceTo(e * options.epoch_ticks).MoveValue(),
+                    e);
+        }
+        ASSERT_TRUE(stepped->AdvanceTo(tick).ok());
+        const std::string label = std::string(window == WindowKind::kSliding
+                                                  ? "sliding"
+                                                  : "tumbling") +
+                                  " W=" + std::to_string(w) +
+                                  " jump=" + std::to_string(jump);
+        EXPECT_EQ(jumped->snapshot_version(), stepped->snapshot_version())
+            << label;
+        EXPECT_EQ(EncodeCheckpoint(options, jumped->CheckpointState()).Value(),
+                  EncodeCheckpoint(options, stepped->CheckpointState()).Value())
+            << label;
+        for (const char* counter : {"serve.epochs", "serve.snapshots"}) {
+          EXPECT_EQ(jumped_sink.counter(counter), stepped_sink.counter(counter))
+              << label << " " << counter;
+        }
+        // Data ingested after the jump lands in the same epoch on both.
+        ASSERT_TRUE(
+            jumped->IngestBatch(batches[0].keys, batches[0].deltas).ok());
+        ASSERT_TRUE(
+            stepped->IngestBatch(batches[0].keys, batches[0].deltas).ok());
+        ASSERT_TRUE(jumped->AdvanceTo(tick + options.epoch_ticks).ok());
+        ASSERT_TRUE(stepped->AdvanceTo(tick + options.epoch_ticks).ok());
+        EXPECT_EQ(EncodeCheckpoint(options, jumped->CheckpointState()).Value(),
+                  EncodeCheckpoint(options, stepped->CheckpointState()).Value())
+            << label;
+      }
+    }
+  }
+}
+
+// A 2^62 tick used to run one epoch close per crossed epoch under the
+// ingest mutex — effectively forever. It now costs O(W·M).
+TEST(StreamingDetectorTest, HugeTickAdvancesInBoundedTime) {
+  for (WindowKind window : {WindowKind::kSliding, WindowKind::kTumbling}) {
+    auto options = SmallOptions(/*window=*/3);
+    options.window = window;
+    options.epoch_ticks = 10;
+    auto detector = StreamingDetector::Create(options).MoveValue();
+    ASSERT_TRUE(detector->AdvanceTo(0).ok());
+    ASSERT_TRUE(detector->IngestBatch({7}, {100.0}).ok());
+    const uint64_t tick = uint64_t{1} << 62;
+    const auto start = std::chrono::steady_clock::now();
+    ASSERT_EQ(detector->AdvanceTo(tick).MoveValue(), tick / 10);
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::seconds(1));
+    // Sliding publishes at every close; tumbling at each multiple of W.
+    EXPECT_EQ(detector->snapshot_version(),
+              window == WindowKind::kSliding ? tick / 10 : tick / 10 / 3);
+    auto snapshot = detector->Snapshot();
+    ASSERT_NE(snapshot, nullptr);
+    EXPECT_EQ(snapshot->events, 0u);  // The data epoch left the window.
+    EXPECT_EQ(snapshot->y, std::vector<double>(options.m, 0.0));
+    ASSERT_TRUE(detector->IngestBatch({7}, {100.0}).ok());
+    ASSERT_TRUE(detector->AdvanceTo(tick + 10).ok());
+    EXPECT_EQ(detector->current_epoch(), tick / 10 + 1);
+  }
+}
+
 TEST(StreamingDetectorTest, ShardOfKeyIsMixedAndInRange) {
   constexpr size_t kShards = 8;
   std::vector<size_t> counts(kShards, 0);
@@ -419,8 +523,11 @@ TEST(StreamingDetectorTest, ConcurrentQueriesNeverBlockIngestion) {
     });
   }
 
+  // Every batch, and on until a reader has answered once: 20 small
+  // batches can all land before a reader finishes its first recovery.
   const auto batches = SeededBatches(20, 400, /*seed=*/3);
-  for (const Batch& batch : batches) {
+  for (size_t b = 0; b < batches.size() || queries.load() == 0; ++b) {
+    const Batch& batch = batches[b % batches.size()];
     ASSERT_TRUE(detector->IngestBatch(batch.keys, batch.deltas).ok());
     detector->AdvanceEpoch();
   }

@@ -1,6 +1,7 @@
 #include "common/simd.h"
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -177,6 +178,53 @@ TEST(SimdTest, ElementwiseKernelsMatchScalarReference) {
     Scale(acc.data(), -0.5, n);
     for (size_t i = 0; i < n; ++i) expected[i] *= -0.5;
     EXPECT_EQ(acc, expected);
+  }
+}
+
+TEST(SimdTest, SignedAddsMatchAxpyOverMaterializedColumns) {
+  // Signed adds are Axpy over the ±c column they encode, bit for bit: the
+  // sign flip is exact, so ±(c·x) == (±c)·x. Lengths straddle the 4-row
+  // AVX2 step and the 64-row word.
+  const double c = 0.125;
+  for (size_t n : {size_t{3}, size_t{64}, size_t{70}, size_t{131}}) {
+    std::vector<std::vector<uint64_t>> signs(8);
+    std::vector<std::vector<double>> columns(8, std::vector<double>(n));
+    const uint64_t* sign_ptrs[8];
+    const double* column_ptrs[8];
+    double vs[8];
+    double xs[8];
+    for (size_t k = 0; k < 8; ++k) {
+      Rng rng(40 + k);
+      for (size_t w = 0; w < (n + 63) / 64; ++w) {
+        signs[k].push_back(rng.NextU64());
+      }
+      for (size_t i = 0; i < n; ++i) {
+        columns[k][i] = FlipSign(c, (signs[k][i / 64] >> (i % 64)) & 1);
+      }
+      sign_ptrs[k] = signs[k].data();
+      column_ptrs[k] = columns[k].data();
+      xs[k] = RandomVector(1, 60 + k)[0];
+      vs[k] = c * xs[k];
+    }
+    std::vector<double> reference = RandomVector(n, 70);
+    const std::vector<double> start = reference;
+    for (size_t k = 0; k < 8; ++k) {
+      for (size_t i = 0; i < n; ++i) reference[i] += columns[k][i] * xs[k];
+    }
+    for (Level level : {Level::kPortable, Level::kAvx2}) {
+      ScopedLevel scoped(level);
+      std::vector<double> fused = start;
+      std::vector<double> sequential = start;
+      std::vector<double> axpy = start;
+      SignedAdd8(fused.data(), sign_ptrs, vs, n);
+      for (size_t k = 0; k < 8; ++k) {
+        SignedAdd(sequential.data(), sign_ptrs[k], vs[k], n);
+      }
+      Axpy8(axpy.data(), column_ptrs, xs, n);
+      EXPECT_EQ(fused, reference) << "n=" << n << " " << LevelName(level);
+      EXPECT_EQ(sequential, reference) << "n=" << n;
+      EXPECT_EQ(axpy, reference) << "n=" << n;
+    }
   }
 }
 

@@ -25,7 +25,7 @@ inline std::string ResealedMutant(const std::string& frame,
   const uint64_t hostile = (*rng)() % 4 == 0
                                ? (*rng)()
                                : kHostile[(*rng)() % std::size(kHostile)];
-  switch ((*rng)() % 4) {
+  switch ((*rng)() % 5) {
     case 0:  // Flip one to four bytes.
       for (uint64_t i = 1 + (*rng)() % 4; i > 0 && !payload.empty(); --i) {
         payload[(*rng)() % payload.size()] ^=
@@ -42,6 +42,12 @@ inline std::string ResealedMutant(const std::string& frame,
     }
     case 2:  // A hostile envelope count.
       count = hostile;
+      break;
+    case 3:  // One byte past every small enum (matrix/window kinds, flags).
+      if (!payload.empty()) {
+        payload[(*rng)() % payload.size()] =
+            static_cast<char>(2 + (*rng)() % 254);
+      }
       break;
     default:  // Truncated payload.
       payload.resize((*rng)() % (payload.size() + 1));

@@ -22,10 +22,13 @@
 
 #include <gtest/gtest.h>
 
+#include "core/detector.h"
 #include "cs/compressor.h"
 #include "dist/cs_protocol.h"
 #include "dist/wire_format.h"
 #include "obs/telemetry.h"
+#include "serve/checkpoint.h"
+#include "serve/net.h"
 #include "workload/generators.h"
 #include "workload/partitioner.h"
 #include "wire_mutant.h"
@@ -248,6 +251,86 @@ TEST(WirePropertyTest, ResealedMutantsNeverAbortDecoders) {
       EXPECT_EQ(s.Value().nnz() * 12, view.payload_size);
     }
   }
+}
+
+// `frame` resealed with payload byte `offset` set to `value`.
+std::string WithPayloadByte(const std::string& frame, size_t offset,
+                            uint8_t value) {
+  const FrameView view = DecodeFrame(frame).MoveValue();
+  std::string payload(view.payload, view.payload_size);
+  payload[offset] = static_cast<char>(value);
+  return EncodeFrame(view.kind, view.count, payload);
+}
+
+// Every frame that carries a matrix kind (kind-3 detector checkpoint,
+// kind-24 stream checkpoint — header and snapshot section — and the kind-34
+// snapshot response) refuses each byte value no kind has with a Status.
+TEST(WirePropertyTest, UnknownMatrixKindByteIsRefused) {
+  core::DetectorOptions detector_options;
+  detector_options.n = 64;
+  detector_options.m = 16;
+  auto detector = core::DistributedOutlierDetector::Create(detector_options)
+                      .MoveValue();
+  ASSERT_TRUE(
+      detector->AddSource(cs::SparseSlice::FromDense({1.0, 0.0, 2.0})).ok());
+  const std::string saved = detector->Save().MoveValue();
+
+  serve::StreamingDetectorOptions stream_options;
+  stream_options.n = 64;
+  stream_options.m = 16;
+  stream_options.window_epochs = 2;
+  stream_options.num_shards = 2;
+  auto stream = serve::StreamingDetector::Create(stream_options).MoveValue();
+  ASSERT_TRUE(stream->AdvanceTo(0).ok());
+  ASSERT_TRUE(stream->IngestBatch({3, 9}, {1.5, -2.0}).ok());
+  ASSERT_TRUE(stream->AdvanceTo(1).ok());
+  const std::string checkpoint =
+      serve::EncodeCheckpoint(stream_options, stream->CheckpointState())
+          .MoveValue();
+  const std::string snapshot =
+      serve::EncodeSnapshotResponse(*stream->Snapshot()).MoveValue();
+
+  // Kind-byte offsets: after the detector header's four u64s, after the
+  // checkpoint header's six u64s and window-kind byte, and first in the
+  // snapshot section.
+  const size_t checkpoint_header_kind = 6 * 8 + 1;
+  const size_t snapshot_kind = 0;
+  for (unsigned value = 2; value < 256; ++value) {
+    const uint8_t byte = static_cast<uint8_t>(value);
+    EXPECT_EQ(core::DistributedOutlierDetector::Load(
+                  WithPayloadByte(saved, 4 * 8, byte))
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(serve::DecodeCheckpoint(
+                  WithPayloadByte(checkpoint, checkpoint_header_kind, byte))
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(serve::DecodeSnapshotResponse(
+                  WithPayloadByte(snapshot, snapshot_kind, byte))
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+  }
+  // The checkpoint ends with the same snapshot section the response
+  // carries, so its kind byte sits that many bytes before the end.
+  const FrameView snap_view = DecodeFrame(snapshot).MoveValue();
+  const FrameView ckpt_view = DecodeFrame(checkpoint).MoveValue();
+  const size_t section = ckpt_view.payload_size - snap_view.payload_size;
+  EXPECT_EQ(serve::DecodeCheckpoint(WithPayloadByte(checkpoint, section, 7))
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  // A known but different kind there disagrees with the header.
+  const uint8_t other = static_cast<uint8_t>(cs::MatrixKind::kGaussian);
+  EXPECT_EQ(serve::DecodeCheckpoint(WithPayloadByte(checkpoint, section, other))
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(serve::DecodeSnapshotResponse(
+                  WithPayloadByte(snapshot, snapshot_kind, other))
+                  .ok());
 }
 
 // Runs the CS protocol over a freshly built seeded workload and returns

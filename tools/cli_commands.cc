@@ -70,6 +70,7 @@ Result<std::unique_ptr<core::DistributedOutlierDetector>> BuildDetector(
   detector_options.seed = options.seed;
   detector_options.iterations = options.iterations;
   detector_options.solver = options.solver;
+  detector_options.matrix_kind = options.matrix_kind;
   detector_options.telemetry = options.telemetry;
   CSOD_ASSIGN_OR_RETURN(auto detector,
                         core::DistributedOutlierDetector::Create(
@@ -178,7 +179,8 @@ Result<std::string> RunDetect(const EventFile& events,
   CSOD_ASSIGN_OR_RETURN(outlier::OutlierSet result,
                         detector->Detect(options.k));
   std::string report = RenderOutliers(result, "k-outliers via BOMP");
-  report += std::string("solver: ") + cs::SolverName(options.solver) + "\n";
+  report += std::string("solver: ") + cs::SolverName(options.solver) +
+            "\nmatrix: " + cs::MatrixKindName(options.matrix_kind) + "\n";
   report += CommunicationFooter(events, options, detector->options().n);
   return report;
 }
@@ -190,7 +192,8 @@ Result<std::string> RunTopK(const EventFile& events,
   outlier::OutlierSet as_set;
   as_set.outliers = std::move(top);
   std::string report = RenderOutliers(as_set, "top-k via CS recovery");
-  report += std::string("solver: ") + cs::SolverName(options.solver) + "\n";
+  report += std::string("solver: ") + cs::SolverName(options.solver) +
+            "\nmatrix: " + cs::MatrixKindName(options.matrix_kind) + "\n";
   report += CommunicationFooter(events, options, detector->options().n);
   return report;
 }
@@ -493,6 +496,7 @@ Result<std::string> DriveServeNet(
   follower_options.n = stream.n;
   follower_options.m = stream.m;
   follower_options.seed = stream.seed;
+  follower_options.matrix_kind = stream.matrix_kind;
   follower_options.iterations = stream.iterations;
   follower_options.solver = stream.solver;
   CSOD_ASSIGN_OR_RETURN(auto follower,
