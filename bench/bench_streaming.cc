@@ -24,9 +24,10 @@
 //
 //  (c) Telemetry overhead: the same stream ingested, epoch by epoch, into
 //      a detector with a live obs::Telemetry sink and one with a null
-//      sink, back to back and in alternating order, at one thread and in
-//      thread CPU time — --overhead-replays replays of --epochs paired
-//      epochs. overhead_pct is the median of the per-epoch paired percent
+//      sink, back to back and in alternating order — --overhead-replays
+//      replays of --epochs paired epochs, twice: at one thread in thread
+//      CPU time, and at the default parallelism limit in wall time.
+//      Each overhead_pct is the median of the per-epoch paired percent
 //      differences and must stay within the committed budget (<= 2%); the
 //      quartiles show the spread behind it. (A best-of-3 of each arm read
 //      anywhere from -5% to +4% for the same code on a 4-vCPU host.)
@@ -37,6 +38,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <ctime>
@@ -221,6 +223,84 @@ void Die(const Status& status) {
 
 }  // namespace
 
+// Medians of the two arms and the median (and quartiles) of the per-epoch
+// paired percent differences.
+struct OverheadResult {
+  size_t pairs = 0;
+  double plain_ms = 0.0;
+  double telemetry_ms = 0.0;
+  double pct = 0.0;
+  double q1_pct = 0.0;
+  double q3_pct = 0.0;
+};
+
+// Order statistic q of `v` (nearest rank on the sorted copy).
+double Quantile(std::vector<double> v, double q) {
+  std::sort(v.begin(), v.end());
+  return v[static_cast<size_t>(q * static_cast<double>(v.size() - 1) + 0.5)];
+}
+
+// `replays` replays of the stream at parallelism limit `threads`, every
+// epoch fed to a live-sink and a null-sink detector back to back, the
+// order alternating epoch by epoch so slow drift on the host hits both
+// arms alike; `clock_ms` times each epoch (ingest + close).
+template <typename ClockMs>
+OverheadResult MeasureOverhead(const StreamConfig& config, size_t replays,
+                               size_t threads, ClockMs clock_ms) {
+  auto timed_epoch = [&](serve::StreamingDetector* detector,
+                         const std::vector<std::vector<size_t>>& keys,
+                         const std::vector<std::vector<double>>& deltas) {
+    const double start = clock_ms();
+    for (size_t b = 0; b < keys.size(); ++b) {
+      const Status st = detector->IngestBatch(keys[b].data(),
+                                              deltas[b].data(), keys[b].size());
+      if (!st.ok()) Die(st);
+    }
+    detector->AdvanceEpoch();
+    return clock_ms() - start;
+  };
+  std::vector<double> plain_ms, live_ms, paired_pct;
+  SetParallelismLimit(threads);
+  for (size_t rep = 0; rep < replays; ++rep) {
+    obs::Telemetry telemetry;
+    auto plain = MakeDetector(config, nullptr);
+    auto live = MakeDetector(config, &telemetry);
+    if (!plain.ok()) Die(plain.status());
+    if (!live.ok()) Die(live.status());
+    plain.Value()->AdvanceEpoch();
+    live.Value()->AdvanceEpoch();
+    StreamGen gen(config);
+    std::vector<std::vector<size_t>> keys;
+    std::vector<std::vector<double>> deltas;
+    for (size_t epoch = 0; epoch < config.epochs; ++epoch) {
+      keys.clear();
+      deltas.clear();
+      for (size_t remaining = config.events_per_epoch; remaining > 0;) {
+        keys.emplace_back();
+        deltas.emplace_back();
+        remaining -= gen.NextBatch(remaining, &keys.back(), &deltas.back());
+      }
+      double p = 0.0, l = 0.0;
+      if ((rep + epoch) % 2 == 0) {
+        p = timed_epoch(plain.Value().get(), keys, deltas);
+        l = timed_epoch(live.Value().get(), keys, deltas);
+      } else {
+        l = timed_epoch(live.Value().get(), keys, deltas);
+        p = timed_epoch(plain.Value().get(), keys, deltas);
+      }
+      plain_ms.push_back(p);
+      live_ms.push_back(l);
+      paired_pct.push_back(100.0 * (l - p) / std::max(p, 1e-9));
+    }
+  }
+  return {.pairs = paired_pct.size(),
+          .plain_ms = Quantile(plain_ms, 0.5),
+          .telemetry_ms = Quantile(live_ms, 0.5),
+          .pct = Quantile(paired_pct, 0.5),
+          .q1_pct = Quantile(paired_pct, 0.25),
+          .q3_pct = Quantile(paired_pct, 0.75)};
+}
+
 int main(int argc, char** argv) {
   FlagParser flags;
   flags.Parse(argc, argv).Check();
@@ -362,80 +442,38 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(max_staleness));
 
   // ---- (c) Telemetry overhead: interleaved live/null-sink pairs. ----
-  // Thread CPU time at one thread: all the work runs on the calling thread,
-  // and CPU time does not count the slices other tenants of a shared host
-  // take from it, which wall time does.
+  // At one thread in thread CPU time: all the work runs on the calling
+  // thread, and CPU time does not count the slices other tenants of a
+  // shared host take from it, which wall time does. At the default limit
+  // in wall time: costs that only appear with several ingest threads
+  // (contended counters, flushes across shards) show there, at the price
+  // of more spread.
   auto thread_cpu_ms = [] {
     timespec ts{};
     clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
     return 1e3 * static_cast<double>(ts.tv_sec) + 1e-6 * ts.tv_nsec;
   };
-  // One epoch's batches (ingest + close) into `detector`, in CPU ms.
-  auto timed_epoch = [&](serve::StreamingDetector* detector,
-                         const std::vector<std::vector<size_t>>& keys,
-                         const std::vector<std::vector<double>>& deltas) {
-    const double start = thread_cpu_ms();
-    for (size_t b = 0; b < keys.size(); ++b) {
-      const Status st = detector->IngestBatch(keys[b].data(),
-                                              deltas[b].data(), keys[b].size());
-      if (!st.ok()) Die(st);
-    }
-    detector->AdvanceEpoch();
-    return thread_cpu_ms() - start;
-  };
-  std::vector<double> plain_cpu, telemetry_cpu, paired_pct;
-  SetParallelismLimit(1);
-  for (size_t rep = 0; rep < overhead_replays; ++rep) {
-    obs::Telemetry telemetry;
-    auto plain = MakeDetector(config, nullptr);
-    auto live = MakeDetector(config, &telemetry);
-    if (!plain.ok()) Die(plain.status());
-    if (!live.ok()) Die(live.status());
-    plain.Value()->AdvanceEpoch();
-    live.Value()->AdvanceEpoch();
-    StreamGen gen(config);
-    std::vector<std::vector<size_t>> keys;
-    std::vector<std::vector<double>> deltas;
-    for (size_t epoch = 0; epoch < config.epochs; ++epoch) {
-      keys.clear();
-      deltas.clear();
-      for (size_t remaining = config.events_per_epoch; remaining > 0;) {
-        keys.emplace_back();
-        deltas.emplace_back();
-        remaining -= gen.NextBatch(remaining, &keys.back(), &deltas.back());
-      }
-      // The same epoch into both arms back to back, the order alternating
-      // epoch by epoch, so slow drift on the host hits both arms alike.
-      double plain_ms = 0.0, live_ms = 0.0;
-      if ((rep + epoch) % 2 == 0) {
-        plain_ms = timed_epoch(plain.Value().get(), keys, deltas);
-        live_ms = timed_epoch(live.Value().get(), keys, deltas);
-      } else {
-        live_ms = timed_epoch(live.Value().get(), keys, deltas);
-        plain_ms = timed_epoch(plain.Value().get(), keys, deltas);
-      }
-      plain_cpu.push_back(plain_ms);
-      telemetry_cpu.push_back(live_ms);
-      paired_pct.push_back(100.0 * (live_ms - plain_ms) /
-                           std::max(plain_ms, 1e-9));
-    }
-  }
+  const OverheadResult one_thread = MeasureOverhead(
+      config, overhead_replays, 1, thread_cpu_ms);
+  const OverheadResult threaded = MeasureOverhead(
+      config, overhead_replays, previous_limit, [] {
+        return 1e-6 * static_cast<double>(
+                          std::chrono::duration_cast<std::chrono::nanoseconds>(
+                              std::chrono::steady_clock::now()
+                                  .time_since_epoch())
+                              .count());
+      });
   SetParallelismLimit(previous_limit);
-  // Order statistic q of `v` (nearest rank on the sorted copy).
-  auto quantile = [](std::vector<double> v, double q) {
-    std::sort(v.begin(), v.end());
-    return v[static_cast<size_t>(q * static_cast<double>(v.size() - 1) + 0.5)];
-  };
-  const double plain_ms = quantile(plain_cpu, 0.5);
-  const double telemetry_ms = quantile(telemetry_cpu, 0.5);
-  const double overhead_pct = quantile(paired_pct, 0.5);
-  const double overhead_q1 = quantile(paired_pct, 0.25);
-  const double overhead_q3 = quantile(paired_pct, 0.75);
-  std::printf("telemetry overhead: median %.2f CPU ms with sink vs %.2f "
-              "without; median paired difference %.2f%% (quartiles %.2f%%, "
-              "%.2f%%) over %zu paired epochs\n",
-              telemetry_ms, plain_ms, overhead_pct, overhead_q1, overhead_q3,
-              paired_pct.size());
+  std::printf("telemetry overhead, 1 thread (CPU ms): median %.2f with sink "
+              "vs %.2f without; median paired difference %.2f%% (quartiles "
+              "%.2f%%, %.2f%%) over %zu paired epochs\n",
+              one_thread.telemetry_ms, one_thread.plain_ms, one_thread.pct,
+              one_thread.q1_pct, one_thread.q3_pct, one_thread.pairs);
+  std::printf("telemetry overhead, %zu threads (wall ms): median %.2f with "
+              "sink vs %.2f without; median paired difference %.2f%% "
+              "(quartiles %.2f%%, %.2f%%) over %zu paired epochs\n",
+              previous_limit, threaded.telemetry_ms, threaded.plain_ms,
+              threaded.pct, threaded.q1_pct, threaded.q3_pct, threaded.pairs);
 
   std::FILE* out = std::fopen(out_path.c_str(), "w");
   if (out == nullptr) {
@@ -479,9 +517,17 @@ int main(int argc, char** argv) {
                "  \"telemetry\": {\"pairs\": %zu, \"plain_cpu_ms\": %.3f, "
                "\"telemetry_cpu_ms\": %.3f, \"overhead_pct\": %.3f,\n"
                "                \"overhead_q1_pct\": %.3f, "
-               "\"overhead_q3_pct\": %.3f}\n}\n",
-               paired_pct.size(), plain_ms, telemetry_ms, overhead_pct,
-               overhead_q1, overhead_q3);
+               "\"overhead_q3_pct\": %.3f,\n"
+               "                \"threaded\": {\"threads\": %zu, "
+               "\"pairs\": %zu, \"plain_wall_ms\": %.3f, "
+               "\"telemetry_wall_ms\": %.3f,\n"
+               "                             \"overhead_pct\": %.3f, "
+               "\"overhead_q1_pct\": %.3f, \"overhead_q3_pct\": %.3f}}\n}\n",
+               one_thread.pairs, one_thread.plain_ms, one_thread.telemetry_ms,
+               one_thread.pct, one_thread.q1_pct, one_thread.q3_pct,
+               previous_limit, threaded.pairs, threaded.plain_ms,
+               threaded.telemetry_ms, threaded.pct, threaded.q1_pct,
+               threaded.q3_pct);
   std::fclose(out);
   std::printf("Wrote %s\n", out_path.c_str());
   return (bit_identical && staleness_ok) ? 0 : 1;

@@ -89,7 +89,8 @@ BENCHES = {
         r"output_digest|reference_window_digest|bit_identical",
         (("throughput.updates_per_sec", ">=", UPDATES_PER_SEC),
          ("throughput.staleness_bound_held", "==", True),
-         ("telemetry.overhead_pct", "<=", 2.0))),
+         ("telemetry.overhead_pct", "<=", 2.0),
+         ("telemetry.threaded.overhead_pct", "<=", 2.0))),
 }
 
 OPS = {

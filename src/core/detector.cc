@@ -14,8 +14,7 @@ DistributedOutlierDetector::DistributedOutlierDetector(
     const DetectorOptions& options)
     : options_(options),
       matrix_(std::make_unique<cs::MeasurementMatrix>(
-          options.m, options.n, options.seed, options.cache_budget_bytes,
-          options.matrix_kind)),
+          options.m, options.n, options.seed, options.cache_budget_bytes)),
       compressor_(std::make_unique<cs::Compressor>(matrix_.get())),
       global_y_(options.m, 0.0) {
   compressor_->set_telemetry(options.telemetry);
@@ -37,22 +36,15 @@ DistributedOutlierDetector::Create(const DetectorOptions& options) {
         "DetectorOptions: m must be <= n (m=" + std::to_string(options.m) +
         ", n=" + std::to_string(options.n) + ")");
   }
+  if (options.m > kMaxM) {
+    return Status::InvalidArgument(
+        "DetectorOptions: m=" + std::to_string(options.m) + " exceeds " +
+        std::to_string(kMaxM));
+  }
   if (options.m > SIZE_MAX / sizeof(double) / options.n) {
     return Status::InvalidArgument(
         "DetectorOptions: m*n*8 bytes overflows size_t (m=" +
         std::to_string(options.m) + ", n=" + std::to_string(options.n) + ")");
-  }
-  // The packed sign matrix is always materialized, so a header from a
-  // Load must not size it past the budget a Gaussian cache would get
-  // (the Gaussian kind falls back to regenerating columns instead).
-  const size_t sign_words = (options.m + 63) / 64;
-  if (options.matrix_kind == cs::MatrixKind::kSign &&
-      options.n > options.cache_budget_bytes / sizeof(uint64_t) / sign_words) {
-    return Status::InvalidArgument(
-        "DetectorOptions: the packed sign matrix (m=" +
-        std::to_string(options.m) + ", n=" + std::to_string(options.n) +
-        ") exceeds cache_budget_bytes " +
-        std::to_string(options.cache_budget_bytes));
   }
   return std::unique_ptr<DistributedOutlierDetector>(
       new DistributedOutlierDetector(options));
@@ -173,7 +165,7 @@ Result<std::string> DistributedOutlierDetector::Save() const {
   dist::AppendU64(&payload, options_.m);
   dist::AppendU64(&payload, options_.seed);
   dist::AppendU64(&payload, options_.iterations);
-  dist::AppendU8(&payload, static_cast<uint8_t>(options_.matrix_kind));
+  dist::AppendU8(&payload, static_cast<uint8_t>(matrix_->kind()));
   for (const auto& [id, sketch] : sketches_) {
     CSOD_ASSIGN_OR_RETURN(const std::string message,
                           dist::EncodeMeasurement(sketch));
@@ -204,23 +196,27 @@ DistributedOutlierDetector::Load(const std::string& frame,
   CSOD_ASSIGN_OR_RETURN(const cs::MatrixKind kind,
                         cs::MatrixKindFromByte(kind_byte));
   if (expected != nullptr &&
-      (n != expected->n || m != expected->m || seed != expected->seed ||
-       kind != expected->matrix_kind)) {
+      (n != expected->n || m != expected->m || seed != expected->seed)) {
     return Status::InvalidArgument(
         "Load: checkpoint geometry (n=" + std::to_string(n) +
         " m=" + std::to_string(m) + " seed=" + std::to_string(seed) +
-        " matrix=" + cs::MatrixKindName(kind) +
         ") does not match the detector options");
   }
   options.n = static_cast<size_t>(n);
   options.m = static_cast<size_t>(m);
   options.seed = seed;
   options.iterations = static_cast<size_t>(iterations);
-  options.matrix_kind = kind;
   // A source is at least its u64 id and a length-prefixed empty message.
   CSOD_RETURN_NOT_OK(
       reader.CheckCount(view.count, 8 + 4 + dist::MeasurementWireSize(0)));
   CSOD_ASSIGN_OR_RETURN(auto detector, Create(options));
+  if (kind != detector->matrix().kind()) {
+    return Status::InvalidArgument(
+        std::string("Load: checkpoint sketched under a ") +
+        cs::MatrixKindName(kind) + " matrix, m=" + std::to_string(m) +
+        " n=" + std::to_string(n) + " derives " +
+        cs::MatrixKindName(detector->matrix().kind()));
+  }
 
   std::string message;
   for (uint64_t i = 0; i < view.count; ++i) {

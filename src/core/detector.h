@@ -34,12 +34,9 @@ struct DetectorOptions {
   /// preference: it is NOT serialized by Save/Load — sketches are
   /// engine-agnostic, so a checkpoint can be recovered with any solver.
   cs::RecoverySolver solver = cs::RecoverySolver::kOmp;
-  /// Dense-cache budget for a Gaussian Φ0; the most a packed sign Φ0 may
-  /// take (Create refuses more).
+  /// Dense-cache budget for a Gaussian Φ0 (cs::MatrixKindFor picks the
+  /// kind from m and n).
   size_t cache_budget_bytes = cs::MeasurementMatrix::kDefaultCacheBudgetBytes;
-  /// Φ0 ensemble. Geometry, like n/m/seed: Save records it, and Load
-  /// with expected options refuses a frame taken under another kind.
-  cs::MatrixKind matrix_kind = cs::kDefaultMatrixKind;
   /// Telemetry sink (sketch + recovery instrumentation). Not serialized by
   /// Save/Load. Null or disabled is free.
   obs::Telemetry* telemetry = nullptr;
@@ -63,11 +60,14 @@ using SourceId = uint64_t;
 /// key space except recovery itself.
 class DistributedOutlierDetector {
  public:
-  /// Validates options (n, m > 0, m <= n, m·n·8 fits size_t, and a sign
-  /// matrix's packed n·ceil(m/64)·8 bytes fit `cache_budget_bytes`) and
-  /// builds the shared measurement matrix.
+  /// Validates options (n, m > 0, m <= min(n, kMaxM) and m·n·8 fits
+  /// size_t) and builds the shared measurement matrix.
   static Result<std::unique_ptr<DistributedOutlierDetector>> Create(
       const DetectorOptions& options);
+
+  /// Largest M Create accepts: a 128 MiB measurement per source, far past
+  /// any O(s log N) sketch. It bounds what a Load header can allocate.
+  static constexpr size_t kMaxM = size_t{1} << 24;
 
   /// Registers a data source holding `slice`; returns its id.
   /// Communication-equivalent cost: M measurement tuples.
@@ -122,11 +122,12 @@ class DistributedOutlierDetector {
   /// Restores a detector from a frame written by Save, keeping every
   /// source id and the recorded geometry (n, m, seed, matrix kind).
   /// DataLoss on torn/corrupted bytes, InvalidArgument on a structurally
-  /// inconsistent payload or an unknown matrix kind. With `expected`, a
-  /// frame whose n, m, seed or matrix kind differ from it is refused
-  /// (InvalidArgument: sketches taken under one Φ0 mean nothing under
-  /// another), and the runtime-only fields — solver, cache budget,
-  /// telemetry — come from `expected`.
+  /// inconsistent payload, an unknown matrix kind, or a kind other than
+  /// the one cs::MatrixKindFor derives from the frame's m and n (sketches
+  /// taken under one Φ0 mean nothing under another). With `expected`, a
+  /// frame whose n, m or seed differ from it is refused too, and the
+  /// runtime-only fields — solver, cache budget, telemetry — come from
+  /// `expected`.
   static Result<std::unique_ptr<DistributedOutlierDetector>> Load(
       const std::string& frame, const DetectorOptions* expected = nullptr);
 

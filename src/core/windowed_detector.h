@@ -23,7 +23,6 @@ struct WindowedDetectorOptions {
   /// Number of most-recent epochs a query covers.
   size_t window_epochs = 0;
   size_t cache_budget_bytes = cs::MeasurementMatrix::kDefaultCacheBudgetBytes;
-  cs::MatrixKind matrix_kind = cs::kDefaultMatrixKind;
 };
 
 /// \brief Sliding-window outlier detection over epoched sketches.

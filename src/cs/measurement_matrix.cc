@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <string>
 
@@ -153,11 +154,15 @@ const char* MatrixKindName(MatrixKind kind) {
   return kind == MatrixKind::kSign ? "sign" : "gaussian";
 }
 
-Result<MatrixKind> ParseMatrixKind(const std::string& name) {
-  if (name == "gaussian") return MatrixKind::kGaussian;
-  if (name == "sign") return MatrixKind::kSign;
-  return Status::InvalidArgument("unknown matrix kind '" + name +
-                                 "' (expected gaussian|sign)");
+MatrixKind MatrixKindFor(size_t m, size_t n) {
+  if (m > n / 2) return MatrixKind::kGaussian;
+  if (m < 2 * std::bit_width(n) + 32) return MatrixKind::kGaussian;
+  // Divide, never multiply: n·words·8 may wrap size_t.
+  const size_t words = (m + 63) / 64;
+  if (n > kMaxPackedSignBytes / sizeof(uint64_t) / words) {
+    return MatrixKind::kGaussian;
+  }
+  return MatrixKind::kSign;
 }
 
 Result<MatrixKind> MatrixKindFromByte(uint8_t byte) {
@@ -168,6 +173,10 @@ Result<MatrixKind> MatrixKindFromByte(uint8_t byte) {
   return Status::InvalidArgument("unknown matrix kind byte " +
                                  std::to_string(byte));
 }
+
+MeasurementMatrix::MeasurementMatrix(size_t m, size_t n, uint64_t seed,
+                                     size_t cache_budget_bytes)
+    : MeasurementMatrix(m, n, seed, cache_budget_bytes, MatrixKindFor(m, n)) {}
 
 MeasurementMatrix::MeasurementMatrix(size_t m, size_t n, uint64_t seed,
                                      size_t cache_budget_bytes,

@@ -32,9 +32,10 @@ struct CorrelateArgmaxResult {
 ///
 /// Both kinds make entry (i, j) a pure function of (seed, j, i) scaled by
 /// 1/√M, and both satisfy the RIP at M = O(s log(N/s)) (docs/THEORY.md §1),
-/// so the choice changes cost, not the recovery guarantee. The kind is part
-/// of a stream's geometry: it travels with n/m/seed in every checkpoint
-/// frame, and state taken under one kind is refused under the other.
+/// so the choice changes cost, not the recovery guarantee. The kind is a
+/// function of the geometry (MatrixKindFor), recorded next to n/m/seed in
+/// every checkpoint frame so that state is never read under another
+/// ensemble.
 enum class MatrixKind : uint8_t {
   /// i.i.d. N(0, 1/M) — the paper's ensemble; dense 8-byte entries, or
   /// regenerated column by column when the cache budget is exceeded.
@@ -44,13 +45,24 @@ enum class MatrixKind : uint8_t {
   kSign = 1,
 };
 
-/// The kind every options struct and the 4-argument constructor default to.
-inline constexpr MatrixKind kDefaultMatrixKind = MatrixKind::kSign;
+/// Most bytes a packed sign matrix may take; MatrixKindFor picks the
+/// Gaussian kind (which regenerates columns past its cache budget) beyond.
+inline constexpr size_t kMaxPackedSignBytes = size_t{512} << 20;
+
+/// The kind an M x N Φ0 is drawn from: kSign unless one of these holds, in
+/// which case kGaussian —
+///  - M > N/2: near square, where recovery is expected to be exact because
+///    Φ0 is invertible on the support. A Gaussian draw almost surely is;
+///    a small square ±1 draw is singular with probability ~N²·2^{1-N}
+///    (0.37 at 4 x 4). Compression saves under 2x there anyway.
+///  - M < 2·bit_width(N) + 32: two ±1 columns coincide up to sign with
+///    probability 2^{1-M}, so over N²/2 pairs the expected number of
+///    indistinguishable keys is N²·2^{-M}; this keeps it below 2^{-32}.
+///  - the packed matrix would exceed kMaxPackedSignBytes.
+MatrixKind MatrixKindFor(size_t m, size_t n);
 
 /// "gaussian" / "sign".
 const char* MatrixKindName(MatrixKind kind);
-/// Parses MatrixKindName's output; InvalidArgument otherwise.
-Result<MatrixKind> ParseMatrixKind(const std::string& name);
 /// Decodes a wire byte; InvalidArgument for a value no kind has.
 Result<MatrixKind> MatrixKindFromByte(uint8_t byte);
 
@@ -65,7 +77,8 @@ struct SparseVectorView {
 
 /// \brief The paper's random measurement matrix `Φ0 (M x N)`, generated
 /// deterministically from a seed: i.i.d. N(0, 1/M) entries (kGaussian,
-/// the paper's ensemble) or i.i.d. ±1/√M entries (kSign, the default).
+/// the paper's ensemble) or i.i.d. ±1/√M entries (kSign), as MatrixKindFor
+/// picks from M and N.
 ///
 /// Key property (Section 3.1, "by a consensus, each node randomly generates
 /// the same M x N measurement matrix"): entry (i, j) is a pure function of
@@ -98,12 +111,16 @@ struct SparseVectorView {
 /// in scalar code, so they are bit-identical across SIMD levels too.
 class MeasurementMatrix {
  public:
-  /// Creates the M x N matrix of `kind` for `seed`. For kGaussian a dense
-  /// cache is materialized iff the storage fits `cache_budget_bytes` (0
-  /// disables caching); kSign is always stored packed.
+  /// Creates the M x N matrix of kind MatrixKindFor(m, n) for `seed`. For
+  /// kGaussian a dense cache is materialized iff the storage fits
+  /// `cache_budget_bytes` (0 disables caching); kSign is always stored
+  /// packed.
   MeasurementMatrix(size_t m, size_t n, uint64_t seed,
-                    size_t cache_budget_bytes = kDefaultCacheBudgetBytes,
-                    MatrixKind kind = kDefaultMatrixKind);
+                    size_t cache_budget_bytes = kDefaultCacheBudgetBytes);
+  /// The same with the kind forced: the reference hook that compares the
+  /// two ensembles at one geometry (tests, bench_recovery's parity phase).
+  MeasurementMatrix(size_t m, size_t n, uint64_t seed,
+                    size_t cache_budget_bytes, MatrixKind kind);
 
   size_t m() const { return m_; }
   size_t n() const { return n_; }

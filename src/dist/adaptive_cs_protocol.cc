@@ -58,6 +58,9 @@ Result<outlier::OutlierSet> AdaptiveCsProtocol::RunGrow(const Cluster& cluster,
 
   size_t prev_m = 0;
   size_t m = std::min(options_.initial_m, options_.max_m);
+  // Every round's rows must be a prefix of the next round's, so one kind
+  // serves the whole run: the one the tallest matrix it may build gets.
+  const cs::MatrixKind kind = cs::MatrixKindFor(options_.max_m, n);
   std::vector<size_t> previous_topk;
   outlier::OutlierSet detected;
   while (true) {
@@ -112,8 +115,7 @@ Result<outlier::OutlierSet> AdaptiveCsProtocol::RunGrow(const Cluster& cluster,
     }
 
     cs::MeasurementMatrix matrix(m, n, options_.seed,
-                                 options_.cache_budget_bytes,
-                                 options_.matrix_kind);
+                                 options_.cache_budget_bytes, kind);
     cs::Compressor compressor(&matrix);
     compressor.set_telemetry(telemetry_);
     std::vector<double> y;
@@ -239,8 +241,7 @@ Result<outlier::OutlierSet> AdaptiveCsProtocol::RunTwoPhase(
   CSOD_RETURN_NOT_OK(check_degraded());
 
   cs::MeasurementMatrix locate_matrix(options_.locate_m, n, options_.seed,
-                                      options_.cache_budget_bytes,
-                                      options_.matrix_kind);
+                                      options_.cache_budget_bytes);
   cs::Compressor locate_compressor(&locate_matrix);
   locate_compressor.set_telemetry(telemetry_);
   std::vector<double> y1;
@@ -342,7 +343,7 @@ Result<outlier::OutlierSet> AdaptiveCsProtocol::RunTwoPhase(
   // rows that *chose* S. Column p senses candidate key support[p].
   cs::MeasurementMatrix refine_matrix(
       m2, support.size(), options_.seed ^ 0x9e3779b97f4a7c15ULL,
-      options_.cache_budget_bytes, options_.matrix_kind);
+      options_.cache_budget_bytes);
   cs::Compressor refine_compressor(&refine_matrix);
   refine_compressor.set_telemetry(telemetry_);
   std::vector<cs::SparseSlice> restricted(alive.size());

@@ -51,8 +51,6 @@ struct AdaptiveCsOptions {
   bool accept_on_stable_topk = true;
   /// Dense-cache budget for the recovery matrix (Gaussian kind only).
   size_t cache_budget_bytes = cs::MeasurementMatrix::kDefaultCacheBudgetBytes;
-  /// Φ0 ensemble of every round (both kinds extend by appending rows).
-  cs::MatrixKind matrix_kind = cs::kDefaultMatrixKind;
   /// Fault plan applied to every round's incremental-row transmissions
   /// (default: perfect network, bit-identical to the pre-fault protocol).
   FaultPlan faults;

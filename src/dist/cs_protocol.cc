@@ -30,8 +30,7 @@ Result<outlier::OutlierSet> CsOutlierProtocol::Run(const Cluster& cluster,
   // makes this equivalent to per-node generation (tested in
   // measurement_matrix_test).
   cs::MeasurementMatrix matrix(options_.m, n, options_.seed,
-                               options_.cache_budget_bytes,
-                               options_.matrix_kind);
+                               options_.cache_budget_bytes);
   cs::Compressor compressor(&matrix);
   compressor.set_telemetry(telemetry_);
 

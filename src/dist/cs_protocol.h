@@ -21,8 +21,6 @@ struct CsProtocolOptions {
   size_t iterations = 0;
   /// Dense-cache budget for the measurement matrix (Gaussian kind only).
   size_t cache_budget_bytes = cs::MeasurementMatrix::kDefaultCacheBudgetBytes;
-  /// Φ0 ensemble every node derives from `seed`.
-  cs::MatrixKind matrix_kind = cs::kDefaultMatrixKind;
   /// Fault plan applied to the measurement transmissions. The default is a
   /// perfect network: no injector is attached and the run is bit-identical
   /// to the pre-fault protocol.

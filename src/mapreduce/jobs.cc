@@ -119,8 +119,7 @@ Result<CsJobResult> RunCsOutlierJob(
   // mapper generates the same Φ0 from the consensus seed (Algorithm 3) and
   // only touches the columns of its non-zero keys, costing O(nnz * M).
   cs::MeasurementMatrix mapper_matrix(options.m, options.n, options.seed,
-                                      /*cache_budget_bytes=*/0,
-                                      options.matrix_kind);
+                                      /*cache_budget_bytes=*/0);
   cs::Compressor compressor(&mapper_matrix);
   compressor.set_telemetry(options.telemetry);
 
@@ -196,8 +195,7 @@ Result<CsJobResult> RunCsOutlierJob(
       for (double v : groups.values(g)) y[row] += v;
     }
     cs::MeasurementMatrix reducer_matrix(options.m, options.n, options.seed,
-                                         options.cache_budget_bytes,
-                                         options.matrix_kind);
+                                         options.cache_budget_bytes);
     auto answered =
         outlier::Answer(reducer_matrix, y,
                         {.k = options.k,

@@ -60,8 +60,6 @@ struct CsJobOptions {
   /// mappers always use the implicit column-regenerated form — they only
   /// need O(nnz·M) work; a sign matrix is always packed).
   size_t cache_budget_bytes = cs::MeasurementMatrix::kDefaultCacheBudgetBytes;
-  /// Φ0 ensemble shared by mappers and the reducer.
-  cs::MatrixKind matrix_kind = cs::kDefaultMatrixKind;
   /// Telemetry sink ("job.cs" span, per-mapper "job.*" rollups; forwarded
   /// to the compressor and BOMP). Null or disabled is free.
   obs::Telemetry* telemetry = nullptr;

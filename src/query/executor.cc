@@ -147,7 +147,6 @@ Result<QueryResult> ExecuteDistributed(
   detector_options.n = n;
   detector_options.m = std::min(options.m, n);
   detector_options.seed = options.seed;
-  detector_options.matrix_kind = options.matrix_kind;
   detector_options.iterations = options.iterations;
   CSOD_ASSIGN_OR_RETURN(
       auto detector, core::DistributedOutlierDetector::Create(detector_options));
@@ -164,6 +163,7 @@ Result<QueryResult> ExecuteDistributed(
 
   QueryResult result;
   result.key_space = n;
+  result.matrix_kind = detector->matrix().kind();
   result.bytes_shipped = static_cast<uint64_t>(node_tables.size()) *
                          detector_options.m * dist::kMeasurementBytes;
   result.bytes_all = static_cast<uint64_t>(node_tables.size()) * n *

@@ -32,8 +32,6 @@ struct ExecutionOptions {
   uint64_t seed = 42;
   /// BOMP iterations; 0 = the paper's f(k).
   size_t iterations = 0;
-  /// Φ0 ensemble.
-  cs::MatrixKind matrix_kind = cs::kDefaultMatrixKind;
 };
 
 /// One answer row.
@@ -57,6 +55,8 @@ struct QueryResult {
   uint64_t bytes_shipped = 0;
   /// Bytes the ALL baseline would ship (L * N * 8).
   uint64_t bytes_all = 0;
+  /// Φ0 kind the sketches were taken under (cs::MatrixKindFor(M, N)).
+  cs::MatrixKind matrix_kind = cs::MatrixKind::kGaussian;
 };
 
 /// \brief Executes the parsed query with the paper's CS pipeline: each

@@ -77,7 +77,8 @@ Result<std::string> EncodeCheckpoint(const StreamingDetectorOptions& options,
   AppendU64(&payload, options.num_shards);
   AppendU64(&payload, options.epoch_ticks);
   AppendU8(&payload, options.window == WindowKind::kTumbling ? 1 : 0);
-  AppendU8(&payload, static_cast<uint8_t>(options.matrix_kind));
+  AppendU8(&payload,
+           static_cast<uint8_t>(cs::MatrixKindFor(options.m, options.n)));
   AppendU8(&payload, checkpoint.started ? 1 : 0);
   AppendU8(&payload, checkpoint.snapshot != nullptr ? 1 : 0);
   AppendU64(&payload, checkpoint.current_epoch);
@@ -227,7 +228,7 @@ Result<std::unique_ptr<StreamingDetector>> RestoreDetector(
   CSOD_ASSIGN_OR_RETURN(DecodedCheckpoint decoded, DecodeCheckpoint(frame));
   if (decoded.n != options.n || decoded.m != options.m ||
       decoded.seed != options.seed ||
-      decoded.matrix_kind != options.matrix_kind ||
+      decoded.matrix_kind != cs::MatrixKindFor(options.m, options.n) ||
       decoded.window_epochs != options.window_epochs ||
       decoded.num_shards != options.num_shards ||
       decoded.epoch_ticks != options.epoch_ticks ||

@@ -60,7 +60,7 @@ struct DecodedCheckpoint {
   size_t num_shards = 0;
   uint64_t epoch_ticks = 1;
   WindowKind window = WindowKind::kSliding;
-  cs::MatrixKind matrix_kind = cs::kDefaultMatrixKind;
+  cs::MatrixKind matrix_kind = cs::MatrixKind::kSign;
   DetectorCheckpoint state;
 };
 

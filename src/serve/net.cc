@@ -547,8 +547,7 @@ Result<std::string> NetClient::FetchCheckpoint(const std::string& tenant) {
 SnapshotFollower::SnapshotFollower(const SnapshotFollowerOptions& options)
     : options_(options),
       matrix_(std::make_unique<cs::MeasurementMatrix>(
-          options.m, options.n, options.seed, options.cache_budget_bytes,
-          options.matrix_kind)) {}
+          options.m, options.n, options.seed, options.cache_budget_bytes)) {}
 
 Result<std::unique_ptr<SnapshotFollower>> SnapshotFollower::Create(
     const SnapshotFollowerOptions& options) {
@@ -567,12 +566,12 @@ Status SnapshotFollower::ApplySnapshot(const SketchSnapshot& snapshot) {
         "ApplySnapshot: y size " + std::to_string(snapshot.y.size()) +
         " != M " + std::to_string(options_.m));
   }
-  if (snapshot.matrix_kind != options_.matrix_kind) {
+  if (snapshot.matrix_kind != matrix_->kind()) {
     return Status::InvalidArgument(
         "ApplySnapshot: snapshot sketched under a " +
         std::string(cs::MatrixKindName(snapshot.matrix_kind)) +
-        " matrix, follower geometry is " +
-        cs::MatrixKindName(options_.matrix_kind));
+        " matrix, follower geometry derives " +
+        cs::MatrixKindName(matrix_->kind()));
   }
   std::lock_guard<std::mutex> lock(mu_);
   // Monotone in version: duplicate or reordered deliveries are no-ops, so

@@ -212,8 +212,7 @@ Result<SketchSnapshot> DecodeSnapshotResponse(const std::string& frame);
 
 /// Configuration of a SnapshotFollower — the subset of
 /// StreamingDetectorOptions a replica needs to rebuild Φ0 and answer
-/// queries (same n/m/seed/matrix kind ⇒ the same consensus matrix as the
-/// leader).
+/// queries (same n/m/seed ⇒ the same consensus matrix as the leader).
 struct SnapshotFollowerOptions {
   size_t n = 0;
   size_t m = 0;
@@ -221,9 +220,6 @@ struct SnapshotFollowerOptions {
   size_t iterations = 0;  ///< 0 = the paper's f(k) at query time.
   cs::RecoverySolver solver = cs::RecoverySolver::kOmp;
   size_t cache_budget_bytes = cs::MeasurementMatrix::kDefaultCacheBudgetBytes;
-  /// Must equal the leader's kind: snapshots carry it and a mismatch is
-  /// refused.
-  cs::MatrixKind matrix_kind = cs::kDefaultMatrixKind;
 };
 
 /// \brief A read replica fed only published snapshots.

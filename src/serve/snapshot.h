@@ -28,7 +28,7 @@ namespace csod::serve {
 struct SketchSnapshot {
   /// The Φ0 ensemble `y` was sketched under: a replica answers from it
   /// only with a matrix of the same kind.
-  cs::MatrixKind matrix_kind = cs::kDefaultMatrixKind;
+  cs::MatrixKind matrix_kind = cs::MatrixKind::kSign;
   /// Publish counter, strictly increasing per detector (1 = first).
   uint64_t version = 0;
   /// Newest epoch whose data is included.

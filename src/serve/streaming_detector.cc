@@ -48,7 +48,6 @@ Result<std::unique_ptr<StreamingDetector>> StreamingDetector::Create(
   // in-progress epoch still accepting data.
   wopts.window_epochs = options.window_epochs + 1;
   wopts.cache_budget_bytes = options.cache_budget_bytes;
-  wopts.matrix_kind = options.matrix_kind;
   auto detector =
       std::unique_ptr<StreamingDetector>(new StreamingDetector(options));
   CSOD_ASSIGN_OR_RETURN(detector->window_,
@@ -360,7 +359,7 @@ void StreamingDetector::PublishLocked(uint64_t epoch) {
 
   auto snapshot = std::make_shared<SketchSnapshot>();
   const size_t covered = epoch_events_.size() - 1;
-  snapshot->matrix_kind = options_.matrix_kind;
+  snapshot->matrix_kind = window_->matrix().kind();
   snapshot->version = version_.fetch_add(1, std::memory_order_relaxed) + 1;
   snapshot->last_epoch = epoch - 1;
   snapshot->first_epoch =

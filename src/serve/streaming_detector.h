@@ -50,9 +50,6 @@ struct StreamingDetectorOptions {
   /// Virtual-clock ticks per epoch (AdvanceTo closes an epoch every
   /// `epoch_ticks` ticks).
   uint64_t epoch_ticks = 1;
-  /// Φ0 ensemble — geometry, like n/m/seed: checkpoints carry it and
-  /// refuse to restore under another kind.
-  cs::MatrixKind matrix_kind = cs::kDefaultMatrixKind;
   size_t cache_budget_bytes = cs::MeasurementMatrix::kDefaultCacheBudgetBytes;
   /// Telemetry sink ("serve.*" metrics; docs/STREAMING.md names them all).
   /// Null means disabled.

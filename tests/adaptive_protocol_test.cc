@@ -138,11 +138,6 @@ TEST(AdaptiveProtocolTest, StableTopKCriterion) {
   options.seed = 13;
   options.iterations = 0;  // f(k) — far below s.
   options.accept_on_stable_topk = true;
-  // With R = f(k) far below s the recovered top-3 is at the edge of
-  // stability for either ensemble: the Gaussian draw this data was tuned on
-  // stabilizes only at the cap round, the sign draw does not stabilize at
-  // all. The criterion is what is under test, so the ensemble is pinned.
-  options.matrix_kind = cs::MatrixKind::kGaussian;
   AdaptiveCsProtocol protocol(options);
   CommStats comm;
   auto result = protocol.Run(*setup.cluster, k, &comm).MoveValue();

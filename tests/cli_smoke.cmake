@@ -54,13 +54,18 @@ if(NOT exact_out MATCHES "${amp_top_key}")
           "amp top key '${amp_top_key}' not in exact reference:\n${exact_out}")
 endif()
 
-# The paper's Gaussian Φ0 stays selectable and agrees on the top key.
+# The Φ0 kind follows the geometry: packed ±1 at M = 250 of N = 800, the
+# paper's Gaussian once M > N/2; both agree with the exact top key.
+if(NOT detect_out MATCHES "matrix: sign")
+  message(FATAL_ERROR "detect at M=250 N=800 is not on the sign matrix: "
+                      "${detect_out}")
+endif()
 execute_process(
-  COMMAND "${CSOD_CLI}" detect --in=${events} --m=250 --k=3 --iterations=20
-          --matrix=gaussian
+  COMMAND "${CSOD_CLI}" detect --in=${events} --m=500 --k=3 --iterations=20
   RESULT_VARIABLE gaussian_result OUTPUT_VARIABLE gaussian_out)
 if(NOT gaussian_result EQUAL 0 OR NOT gaussian_out MATCHES "matrix: gaussian")
-  message(FATAL_ERROR "csod detect --matrix=gaussian failed: ${gaussian_out}")
+  message(FATAL_ERROR "csod detect at M=500 N=800 is not on the Gaussian "
+                      "matrix: ${gaussian_out}")
 endif()
 string(REGEX MATCH "key [0-9]+" gaussian_top_key "${gaussian_out}")
 if(NOT exact_out MATCHES "${gaussian_top_key}")

@@ -225,35 +225,42 @@ TEST(DetectorTest, SaveLoadRoundTrip) {
 
 TEST(DetectorTest, LoadRefusesAnotherMatrixKind) {
   // The matrix kind is geometry: a sketch taken under one Φ0 means nothing
-  // under the other, so Load into the wrong kind is refused either way.
+  // under the other, so a frame whose kind byte is not the one its m and n
+  // derive is refused — in both directions, and for an unknown byte.
   const std::vector<double> global = TestGlobal();
-  for (cs::MatrixKind kind :
-       {cs::MatrixKind::kGaussian, cs::MatrixKind::kSign}) {
-    DetectorOptions options = SmallOptions();
-    options.matrix_kind = kind;
+  for (size_t m : {size_t{180}, size_t{300}}) {
+    const DetectorOptions options = SmallOptions(500, m);
     auto original = DistributedOutlierDetector::Create(options).MoveValue();
+    EXPECT_EQ(original->matrix().kind(), cs::MatrixKindFor(m, 500));
     for (const auto& slice : MakeSlices(global, 3, 7)) {
       ASSERT_TRUE(original->AddSource(slice).ok());
     }
     const std::string frame = original->Save().MoveValue();
 
     auto restored = DistributedOutlierDetector::Load(frame).MoveValue();
-    EXPECT_EQ(restored->options().matrix_kind, kind);
-    EXPECT_EQ(restored->matrix().kind(), kind);
+    EXPECT_EQ(restored->matrix().kind(), original->matrix().kind());
     EXPECT_EQ(restored->Detect(5).Value().outliers[0].value,
               original->Detect(5).Value().outliers[0].value);
     ASSERT_TRUE(DistributedOutlierDetector::Load(frame, &options).ok());
-
     DetectorOptions other = options;
-    other.matrix_kind = kind == cs::MatrixKind::kSign
-                            ? cs::MatrixKind::kGaussian
-                            : cs::MatrixKind::kSign;
-    EXPECT_EQ(DistributedOutlierDetector::Load(frame, &other).status().code(),
-              StatusCode::kInvalidArgument);
-    other = options;
     other.seed = 12;
     EXPECT_EQ(DistributedOutlierDetector::Load(frame, &other).status().code(),
               StatusCode::kInvalidArgument);
+
+    // The kind byte follows n, m, seed and iterations.
+    const dist::FrameView view = dist::DecodeFrame(frame).MoveValue();
+    for (uint8_t byte : {uint8_t{0}, uint8_t{1}, uint8_t{7}}) {
+      if (byte == static_cast<uint8_t>(original->matrix().kind())) continue;
+      std::string payload(view.payload, view.payload_size);
+      payload[4 * sizeof(uint64_t)] = static_cast<char>(byte);
+      const std::string mutant =
+          dist::EncodeFrame(view.kind, view.count, payload);
+      EXPECT_EQ(DistributedOutlierDetector::Load(mutant).status().code(),
+                StatusCode::kInvalidArgument);
+      EXPECT_EQ(
+          DistributedOutlierDetector::Load(mutant, &options).status().code(),
+          StatusCode::kInvalidArgument);
+    }
   }
 }
 
@@ -263,7 +270,7 @@ std::string CheckpointHeader(uint64_t n, uint64_t m) {
   for (uint64_t v : {n, m, uint64_t{11}, uint64_t{24}}) {
     dist::AppendU64(&payload, v);
   }
-  dist::AppendU8(&payload, static_cast<uint8_t>(cs::kDefaultMatrixKind));
+  dist::AppendU8(&payload, static_cast<uint8_t>(cs::MatrixKindFor(m, n)));
   return payload;
 }
 
@@ -330,8 +337,8 @@ TEST(DetectorTest, LoadRejectsOverflowingDimensions) {
   EXPECT_EQ(DistributedOutlierDetector::Load(wide).status().code(),
             StatusCode::kInvalidArgument);
 
-  // m·n·8 fits and m <= n, but the packed sign matrix the header asks for
-  // (2^30 x 2^30 bits = 128 PiB) is refused before anything is allocated.
+  // m·n·8 fits and m <= n, but M = 2^30 is past kMaxM: the header may not
+  // size an 8 GiB measurement.
   const std::string huge =
       dist::EncodeFrame(dist::kDetectorCheckpointFrameKind, 0,
                         CheckpointHeader(uint64_t{1} << 30, uint64_t{1} << 30));

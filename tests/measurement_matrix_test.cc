@@ -452,14 +452,38 @@ TEST(MeasurementMatrixTest, BiasColumnIsScaledColumnSum) {
 }
 
 TEST(MeasurementMatrixTest, MatrixKindNamesAndBytesRoundTrip) {
+  EXPECT_STREQ(MatrixKindName(MatrixKind::kGaussian), "gaussian");
+  EXPECT_STREQ(MatrixKindName(MatrixKind::kSign), "sign");
   for (MatrixKind kind : {MatrixKind::kGaussian, MatrixKind::kSign}) {
-    EXPECT_EQ(ParseMatrixKind(MatrixKindName(kind)).Value(), kind);
     EXPECT_EQ(MatrixKindFromByte(static_cast<uint8_t>(kind)).Value(), kind);
   }
-  EXPECT_EQ(MeasurementMatrix(4, 4, 1).kind(), kDefaultMatrixKind);
-  EXPECT_FALSE(ParseMatrixKind("bernoulli").ok());
   EXPECT_EQ(MatrixKindFromByte(2).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST(MeasurementMatrixTest, MatrixKindFollowsGeometry) {
+  // Compressive geometries, as the benchmarks run them, are packed ±1.
+  EXPECT_EQ(MatrixKindFor(700, 20000), MatrixKind::kSign);
+  EXPECT_EQ(MatrixKindFor(256, 50000), MatrixKind::kSign);
+  EXPECT_EQ(MatrixKindFor(400, 800), MatrixKind::kSign);
+  // Near square (M > N/2): Gaussian.
+  EXPECT_EQ(MatrixKindFor(4, 4), MatrixKind::kGaussian);
+  EXPECT_EQ(MatrixKindFor(400, 400), MatrixKind::kGaussian);
+  EXPECT_EQ(MatrixKindFor(401, 800), MatrixKind::kGaussian);
+  // Too few rows to keep ±1 columns apart: M < 2·bit_width(N) + 32.
+  EXPECT_EQ(MatrixKindFor(49, 500), MatrixKind::kGaussian);
+  EXPECT_EQ(MatrixKindFor(50, 500), MatrixKind::kSign);
+  EXPECT_EQ(MatrixKindFor(16, 64), MatrixKind::kGaussian);
+  // Past kMaxPackedSignBytes, where only the Gaussian kind can stay
+  // implicit.
+  EXPECT_EQ(MatrixKindFor(128, kMaxPackedSignBytes / 16), MatrixKind::kSign);
+  EXPECT_EQ(MatrixKindFor(128, kMaxPackedSignBytes / 16 + 1),
+            MatrixKind::kGaussian);
+  EXPECT_EQ(MatrixKindFor(size_t{1} << 30, size_t{1} << 62),
+            MatrixKind::kGaussian);
+  // The 4-argument constructor builds that kind.
+  EXPECT_EQ(MeasurementMatrix(4, 4, 1).kind(), MatrixKind::kGaussian);
+  EXPECT_EQ(MeasurementMatrix(100, 1000, 1).kind(), MatrixKind::kSign);
 }
 
 TEST(MeasurementMatrixTest, SignEntriesArePlusMinusInvSqrtM) {

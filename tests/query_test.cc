@@ -1,6 +1,8 @@
 #include "query/executor.h"
 #include "query/query.h"
 
+#include <algorithm>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -131,6 +133,45 @@ TEST(QueryExecutorTest, DistributedMatchesExact) {
   EXPECT_EQ(distributed.key_space, 100u);
 }
 
+// Under the default M = 400 the sketch is square for every GROUP BY with
+// at most 400 keys, and near square up to 800: recovery there must be
+// exact, so the answer must equal the exact executor's at every N.
+TEST(QueryExecutorTest, SmallKeySpacesAnswerExactly) {
+  for (size_t n : {4, 5, 8, 17, 64, 400, 700}) {
+    // P keys planted above a common value held by the majority; each key
+    // split over both nodes.
+    const size_t planted = n < 8 ? 1 : 3;
+    std::vector<LogTable> tables(2);
+    for (auto& table : tables) table.columns = {"url", "Score"};
+    for (size_t i = 0; i < n; ++i) {
+      const double value = i < planted ? 5000.0 + 100.0 * double(i) : 40.0;
+      const std::string key = std::to_string(i) + "u";
+      tables[0].AddRow({key, std::to_string(value / 4)}).Check();
+      tables[1].AddRow({key, std::to_string(3 * value / 4)}).Check();
+    }
+    for (const char* kind : {"Top", "Outlier"}) {
+      char sql[96];
+      std::snprintf(sql, sizeof(sql),
+                    "SELECT %s %zu SUM(Score), url FROM logs GROUP BY url",
+                    kind, planted);
+      const Query query = ParseQuery(sql).MoveValue();
+      const auto exact = ExecuteExact(query, tables).MoveValue();
+      const auto distributed =
+          ExecuteDistributed(query, tables, ExecutionOptions{}).MoveValue();
+      EXPECT_EQ(distributed.matrix_kind,
+                cs::MatrixKindFor(std::min<size_t>(400, n), n));
+      ASSERT_EQ(distributed.rows.size(), exact.rows.size())
+          << kind << " N=" << n;
+      for (size_t r = 0; r < exact.rows.size(); ++r) {
+        EXPECT_EQ(distributed.rows[r].group_key, exact.rows[r].group_key)
+            << kind << " N=" << n << " row " << r;
+        EXPECT_NEAR(distributed.rows[r].value, exact.rows[r].value, 1e-3)
+            << kind << " N=" << n << " row " << r;
+      }
+    }
+  }
+}
+
 TEST(QueryExecutorTest, TopQueryRanksByValue) {
   auto query =
       ParseQuery("SELECT Top 2 SUM(Score), url FROM logs GROUP BY url")
@@ -146,10 +187,6 @@ TEST(QueryExecutorTest, TopQueryRanksByValue) {
   ExecutionOptions options;
   options.m = 4;
   options.iterations = 4;
-  // M = N = 4 asks for exact recovery from a square Φ0. A Gaussian one is
-  // invertible almost surely; a 4 x 4 ±1 matrix is singular with
-  // probability ~0.37, so the sign kind carries no such guarantee here.
-  options.matrix_kind = cs::MatrixKind::kGaussian;
   auto result = ExecuteDistributed(query, tables, options).MoveValue();
   ASSERT_EQ(result.rows.size(), 2u);
   EXPECT_EQ(result.rows[0].group_key, "c");

@@ -33,6 +33,12 @@ StreamingDetectorOptions SmallOptions(size_t window = 3, size_t shards = 4) {
   return options;
 }
 
+// `options` with M past N/2, where the Gaussian kind is derived.
+StreamingDetectorOptions GaussianGeometry(StreamingDetectorOptions options) {
+  options.m = options.n / 2 + 1;
+  return options;
+}
+
 void SeededBatch(uint64_t seed, size_t n, std::vector<size_t>* keys,
                  std::vector<double>* deltas) {
   keys->clear();
@@ -317,17 +323,27 @@ TEST(CheckpointTest, GeometryMismatchIsRefused) {
   wrong = options;
   wrong.window_epochs = 5;
   EXPECT_FALSE(RestoreDetector(frame, wrong).ok());
-  // The matrix kind is geometry too, in both directions.
-  wrong = options;
-  wrong.matrix_kind = cs::MatrixKind::kGaussian;
-  EXPECT_EQ(RestoreDetector(frame, wrong).status().code(),
-            StatusCode::kInvalidArgument);
-  auto gaussian = BuildMidStream(wrong);
-  const std::string gaussian_frame =
-      EncodeCheckpoint(wrong, gaussian->CheckpointState()).MoveValue();
-  EXPECT_TRUE(RestoreDetector(gaussian_frame, wrong).ok());
-  EXPECT_EQ(RestoreDetector(gaussian_frame, options).status().code(),
-            StatusCode::kInvalidArgument);
+  // The matrix kind is geometry too: a frame whose kind byte (after six
+  // u64s and the window kind) is not the one m and n derive is refused, in
+  // both directions. Without a snapshot section the header holds the only
+  // copy of the kind.
+  for (const auto& geometry : {options, GaussianGeometry(options)}) {
+    DetectorCheckpoint state = BuildMidStream(geometry)->CheckpointState();
+    state.snapshot = nullptr;
+    const std::string bare = EncodeCheckpoint(geometry, state).MoveValue();
+    ASSERT_TRUE(RestoreDetector(bare, geometry).ok());
+    const uint8_t own =
+        static_cast<uint8_t>(cs::MatrixKindFor(geometry.m, geometry.n));
+    const dist::FrameView view = dist::DecodeFrame(bare).MoveValue();
+    std::string payload(view.payload, view.payload_size);
+    ASSERT_EQ(static_cast<uint8_t>(payload[6 * 8 + 1]), own);
+    payload[6 * 8 + 1] = static_cast<char>(own ^ 1);
+    const std::string flipped =
+        dist::EncodeFrame(view.kind, view.count, payload);
+    EXPECT_EQ(RestoreDetector(flipped, geometry).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+
   // Runtime-only knobs (solver, iterations, telemetry) may differ freely.
   auto runtime = options;
   runtime.iterations = 20;

@@ -323,7 +323,8 @@ TEST(WirePropertyTest, UnknownMatrixKindByteIsRefused) {
                 .code(),
             StatusCode::kInvalidArgument);
   // A known but different kind there disagrees with the header.
-  const uint8_t other = static_cast<uint8_t>(cs::MatrixKind::kGaussian);
+  const uint8_t other =
+      static_cast<uint8_t>(stream->matrix().kind()) ^ uint8_t{1};
   EXPECT_EQ(serve::DecodeCheckpoint(WithPayloadByte(checkpoint, section, other))
                 .status()
                 .code(),

@@ -70,7 +70,6 @@ Result<std::unique_ptr<core::DistributedOutlierDetector>> BuildDetector(
   detector_options.seed = options.seed;
   detector_options.iterations = options.iterations;
   detector_options.solver = options.solver;
-  detector_options.matrix_kind = options.matrix_kind;
   detector_options.telemetry = options.telemetry;
   CSOD_ASSIGN_OR_RETURN(auto detector,
                         core::DistributedOutlierDetector::Create(
@@ -180,7 +179,8 @@ Result<std::string> RunDetect(const EventFile& events,
                         detector->Detect(options.k));
   std::string report = RenderOutliers(result, "k-outliers via BOMP");
   report += std::string("solver: ") + cs::SolverName(options.solver) +
-            "\nmatrix: " + cs::MatrixKindName(options.matrix_kind) + "\n";
+            "\nmatrix: " + cs::MatrixKindName(detector->matrix().kind()) +
+            "\n";
   report += CommunicationFooter(events, options, detector->options().n);
   return report;
 }
@@ -193,7 +193,8 @@ Result<std::string> RunTopK(const EventFile& events,
   as_set.outliers = std::move(top);
   std::string report = RenderOutliers(as_set, "top-k via CS recovery");
   report += std::string("solver: ") + cs::SolverName(options.solver) +
-            "\nmatrix: " + cs::MatrixKindName(options.matrix_kind) + "\n";
+            "\nmatrix: " + cs::MatrixKindName(detector->matrix().kind()) +
+            "\n";
   report += CommunicationFooter(events, options, detector->options().n);
   return report;
 }
@@ -303,7 +304,7 @@ Result<std::string> RunQuery(const TableFile& table, const std::string& sql,
                     ? 100.0 * static_cast<double>(result.bytes_shipped) /
                           static_cast<double>(result.bytes_all)
                     : 0.0);
-  out << line;
+  out << line << "matrix: " << cs::MatrixKindName(result.matrix_kind) << "\n";
   return out.str();
 }
 
@@ -496,7 +497,6 @@ Result<std::string> DriveServeNet(
   follower_options.n = stream.n;
   follower_options.m = stream.m;
   follower_options.seed = stream.seed;
-  follower_options.matrix_kind = stream.matrix_kind;
   follower_options.iterations = stream.iterations;
   follower_options.solver = stream.solver;
   CSOD_ASSIGN_OR_RETURN(auto follower,

@@ -56,8 +56,6 @@ struct DetectOptions {
   /// Recovery engine (`--solver={omp,cosamp,amp}`); reported in the
   /// provenance block of the detect / topk reports.
   cs::RecoverySolver solver = cs::RecoverySolver::kOmp;
-  /// Φ0 ensemble (`--matrix={sign,gaussian}`); reported beside the solver.
-  cs::MatrixKind matrix_kind = cs::kDefaultMatrixKind;
   /// Override the key space (0 = infer from the file).
   size_t n_override = 0;
   /// Telemetry sink threaded into the detector (sketch + recovery

@@ -30,13 +30,11 @@ constexpr Subcommand kSubcommands[] = {
      "write a synthetic distributed click-log event file"},
     {"detect",
      "--in=FILE [--m= --k= --seed= --iterations= --n= "
-     "--solver={omp|cosamp|amp} --matrix={sign|gaussian} "
-     "--telemetry-json=FILE]",
+     "--solver={omp|cosamp|amp} --telemetry-json=FILE]",
      "CS-based distributed k-outlier detection over the file's nodes"},
     {"topk",
      "--in=FILE [--m= --k= --seed= --iterations= --n= "
-     "--solver={omp|cosamp|amp} --matrix={sign|gaussian} "
-     "--telemetry-json=FILE]",
+     "--solver={omp|cosamp|amp} --telemetry-json=FILE]",
      "zero-mode top-k extension via CS recovery"},
     {"exact", "--in=FILE [--k=]",
      "centralized exact reference answer"},
@@ -92,10 +90,6 @@ Result<tools::DetectOptions> DetectOptionsFromFlags(const FlagParser& flags) {
   options.n_override = static_cast<size_t>(flags.GetInt("n", 0));
   CSOD_ASSIGN_OR_RETURN(
       options.solver, cs::ParseSolverName(flags.GetString("solver", "omp")));
-  CSOD_ASSIGN_OR_RETURN(options.matrix_kind,
-                        cs::ParseMatrixKind(flags.GetString(
-                            "matrix", cs::MatrixKindName(
-                                          cs::kDefaultMatrixKind))));
   return options;
 }
 
